@@ -1,13 +1,12 @@
 """Micro-benchmarks of the hot paths (probe, generator, classifier,
-rollup). Not paper experiments — performance engineering guardrails for
-the library itself."""
+fleet merge, serve). Not paper experiments — performance engineering
+guardrails for the library itself."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.classify import ServiceClassifier
 from repro.kernels import sniff
-from repro.stream.rollup import HourlyRollup
 from repro.flowmeter.meter import FlowMeter
 from repro.net.packet import IPProtocol, Packet, TCPFlags
 from repro.scenario import get_scenario
@@ -144,13 +143,6 @@ def test_micro_classifier_pool(benchmark, frame):
 
     labels, names = benchmark(run)
     assert len(labels) == len(frame.domains)
-
-
-@pytest.mark.benchmark(group="micro")
-def test_micro_rollup(benchmark, frame):
-    rollup = benchmark(HourlyRollup.from_frame, frame)
-    assert len(rollup) > 100
-    assert rollup.reduction_factor(frame) > 10
 
 
 @pytest.fixture(scope="module")

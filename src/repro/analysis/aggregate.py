@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.dataset import FlowFrame
+from repro.analysis.domains import TABLE2_DOMAIN_GROUPS
 from repro.constants import ACTIVE_CUSTOMER_FLOW_THRESHOLD
-from repro.flowmeter.records import L7Protocol, L7_ORDER
+from repro.flowmeter.records import L7_ORDER
 from repro.internet.geo import COUNTRIES, lon_hour_shift
+from repro.satcom.plans import PLAN_ORDER, plan_index_bulk
 
 
 def protocol_volume_share(frame: FlowFrame, mask: Optional[np.ndarray] = None) -> Dict[str, float]:
@@ -83,6 +86,57 @@ def local_hour_of(frame: FlowFrame) -> np.ndarray:
         dtype=np.float64,
     )
     return (frame.hour_utc + offsets[frame.country_idx]) % 24.0
+
+
+_TABLE2_PATTERNS = [re.compile(p) for p in TABLE2_DOMAIN_GROUPS.values()]
+
+
+def table2_group_of_flows(frame: FlowFrame) -> np.ndarray:
+    """Per flow, the index of its first matching Table 2 domain group
+    (:data:`~repro.analysis.domains.TABLE2_DOMAIN_GROUPS` order), else -1."""
+    pool_group = np.full(len(frame.domains), -1, dtype=np.int16)
+    for d_idx, domain in enumerate(frame.domains):
+        for g_idx, pattern in enumerate(_TABLE2_PATTERNS):
+            if pattern.search(domain):
+                pool_group[d_idx] = g_idx
+                break
+    flow_group = np.full(len(frame), -1, dtype=np.int16)
+    has_domain = frame.domain_idx >= 0
+    flow_group[has_domain] = pool_group[frame.domain_idx[has_domain]]
+    return flow_group
+
+
+def fold_video_sessions(
+    frame: FlowFrame,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+    """Figure 12: the frame's video sessions folded per (plan, country).
+
+    Chunk flows repeat their session's QoE triple, so sessions are
+    deduped on the globally unique ``session_id``; sessions on an
+    unknown plan or with a non-finite QoE are dropped. Returns
+    ``(rows, rebuffer, level, sums)``: per session its row
+    ``plan * n_countries + country``, rebuffer ratio and mean level,
+    and the flat per-row ``sums`` (sessions, rebuffer, level, switches).
+    """
+    has = np.flatnonzero(frame.session_id >= 0)
+    _, first = np.unique(frame.session_id[has], return_index=True)
+    session = has[first]
+    plan = plan_index_bulk(frame.plan_down_mbps[session]).astype(np.int64)
+    rebuf = frame.qoe_rebuffer[session].astype(np.float64)
+    level = frame.qoe_level[session].astype(np.float64)
+    ok = (plan >= 0) & np.isfinite(rebuf) & np.isfinite(level)
+    session, rebuf, level = session[ok], rebuf[ok], level[ok]
+    switches = frame.qoe_switches[session].astype(np.float64)
+    nc = len(frame.countries)
+    rows = plan[ok] * nc + frame.country_idx[session].astype(np.int64)
+    size = len(PLAN_ORDER) * nc
+    sums = (
+        np.bincount(rows, minlength=size).astype(np.int64),
+        np.bincount(rows, weights=rebuf, minlength=size),
+        np.bincount(rows, weights=level, minlength=size),
+        np.bincount(rows, weights=switches, minlength=size),
+    )
+    return rows, rebuf, level, sums
 
 
 def customer_day_flow_counts(frame: FlowFrame, country: str) -> np.ndarray:

@@ -22,6 +22,17 @@ import numpy as np
 from repro.traffic.services import ServiceCategory
 
 
+#: Figure 7 category axis, shared by the frame and rollup paths.
+FIG7_CATEGORIES = (
+    ServiceCategory.AUDIO,
+    ServiceCategory.CHAT,
+    ServiceCategory.SEARCH,
+    ServiceCategory.SOCIAL,
+    ServiceCategory.VIDEO,
+    ServiceCategory.WORK,
+)
+
+
 @dataclass(frozen=True)
 class Rule:
     """One service's classification rule."""

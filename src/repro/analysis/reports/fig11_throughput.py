@@ -18,11 +18,8 @@ import numpy as np
 from repro.analysis.aggregate import format_table, local_hour_of
 from repro.analysis.dataset import FlowFrame
 from repro.analysis.stats import BoxplotStats, boxplot_stats, ccdf_at
-from repro.constants import BULK_FLOW_MIN_BYTES
+from repro.constants import BULK_FLOW_MIN_BYTES, NIGHT_HOURS, PEAK_HOURS
 from repro.traffic.profiles import TOP_COUNTRIES
-
-NIGHT_HOURS = (2.0, 5.0)
-PEAK_HOURS = (13.0, 20.0)
 
 PAPER_PLAN_KNEES_MBPS = {
     "Europe": (30.0, 50.0, 100.0),

@@ -21,9 +21,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.analysis.aggregate import format_table
+from repro.analysis.aggregate import fold_video_sessions, format_table
 from repro.analysis.dataset import FlowFrame
-from repro.satcom.plans import PLAN_ORDER, plan_index_bulk
+from repro.satcom.plans import PLAN_ORDER
 
 #: Figure 11a plan-rate knees — the throughput context for the QoE rows.
 PAPER_PLAN_KNEES_MBPS = {
@@ -66,72 +66,21 @@ class Fig12Result:
             float(self.switch_sum[p, c] / n),
         )
 
-    def mean_rebuffer(self, country: str) -> float:
-        """Session-weighted mean rebuffer ratio across plans."""
-        c = self.countries.index(country)
-        n = self.sessions[:, c].sum()
-        if n == 0:
-            return float("nan")
-        return float(self.rebuffer_sum[:, c].sum() / n)
-
-    def mean_level(self, country: str) -> float:
-        c = self.countries.index(country)
-        n = self.sessions[:, c].sum()
-        if n == 0:
-            return float("nan")
-        return float(self.level_sum[:, c].sum() / n)
-
-
-def _dedupe_sessions(frame: FlowFrame):
-    """One row per session: ABR chunks repeat the session's QoE triple,
-    so dedupe on the globally-unique ``session_id``."""
-    has = frame.session_id >= 0
-    if not has.any():
-        return None
-    ids = frame.session_id[has]
-    _, first = np.unique(ids, return_index=True)
-    return (
-        plan_index_bulk(frame.plan_down_mbps[has][first]).astype(np.int64),
-        frame.country_idx[has][first].astype(np.int64),
-        frame.qoe_rebuffer[has][first].astype(np.float64),
-        frame.qoe_level[has][first].astype(np.float64),
-        frame.qoe_switches[has][first].astype(np.float64),
-    )
-
 
 def compute(frame: FlowFrame) -> Fig12Result:
     """Measure per-(country, plan) QoE from the flow table."""
-    nc = len(frame.countries)
-    npl = len(PLAN_ORDER)
-    shape = (npl, nc)
-    result = Fig12Result(
+    shape = (len(PLAN_ORDER), len(frame.countries))
+    sessions, rebuffer_sum, level_sum, switch_sum = (
+        bank.reshape(shape) for bank in fold_video_sessions(frame)[3]
+    )
+    return Fig12Result(
         countries=list(frame.countries),
         plans=PLAN_ORDER,
-        sessions=np.zeros(shape, dtype=np.int64),
-        rebuffer_sum=np.zeros(shape, dtype=np.float64),
-        level_sum=np.zeros(shape, dtype=np.float64),
-        switch_sum=np.zeros(shape, dtype=np.float64),
+        sessions=sessions,
+        rebuffer_sum=rebuffer_sum,
+        level_sum=level_sum,
+        switch_sum=switch_sum,
     )
-    deduped = _dedupe_sessions(frame)
-    if deduped is None:
-        return result
-    plan, country, rebuf, level, switches = deduped
-    ok = (plan >= 0) & np.isfinite(rebuf) & np.isfinite(level)
-    if not ok.any():
-        return result
-    rows = plan[ok] * nc + country[ok]
-    size = npl * nc
-    result.sessions += np.bincount(rows, minlength=size).reshape(shape)
-    result.rebuffer_sum += np.bincount(
-        rows, weights=rebuf[ok], minlength=size
-    ).reshape(shape)
-    result.level_sum += np.bincount(
-        rows, weights=level[ok], minlength=size
-    ).reshape(shape)
-    result.switch_sum += np.bincount(
-        rows, weights=switches[ok], minlength=size
-    ).reshape(shape)
-    return result
 
 
 def from_rollup(rollup) -> Fig12Result:

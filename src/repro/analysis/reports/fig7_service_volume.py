@@ -18,20 +18,11 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.analysis.aggregate import format_table
-from repro.analysis.classify import ServiceClassifier
+from repro.analysis.classify import FIG7_CATEGORIES, ServiceClassifier
 from repro.analysis.dataset import FlowFrame
 from repro.analysis.stats import BoxplotStats, boxplot_stats
 from repro.traffic.profiles import TOP_COUNTRIES
 from repro.traffic.services import ServiceCategory
-
-CATEGORIES = (
-    ServiceCategory.AUDIO,
-    ServiceCategory.CHAT,
-    ServiceCategory.SEARCH,
-    ServiceCategory.SOCIAL,
-    ServiceCategory.VIDEO,
-    ServiceCategory.WORK,
-)
 
 #: Published medians (MB/day) where the paper states them.
 PAPER_MEDIANS_MB: Dict[ServiceCategory, Dict[str, float]] = {
@@ -65,8 +56,10 @@ def compute(
         i: rule.category for i, rule in enumerate(classifier.rules)
     }
     volume = frame.bytes_total()
-    boxes: Dict[ServiceCategory, Dict[str, BoxplotStats]] = {c: {} for c in CATEGORIES}
-    for category in CATEGORIES:
+    boxes: Dict[ServiceCategory, Dict[str, BoxplotStats]] = {
+        c: {} for c in FIG7_CATEGORIES
+    }
+    for category in FIG7_CATEGORIES:
         label_mask = np.array(
             [category_by_label.get(int(l)) == category if l >= 0 else False for l in labels]
         )
@@ -89,8 +82,10 @@ def from_rollup(
     quantiles are not).
     """
     hist = rollup.h7_volume
-    boxes: Dict[ServiceCategory, Dict[str, BoxplotStats]] = {c: {} for c in CATEGORIES}
-    for category in CATEGORIES:
+    boxes: Dict[ServiceCategory, Dict[str, BoxplotStats]] = {
+        c: {} for c in FIG7_CATEGORIES
+    }
+    for category in FIG7_CATEGORIES:
         for country in countries:
             row = rollup.fig7_row(category, country)
             n = int(round(hist.total(row)))
@@ -107,7 +102,7 @@ def from_rollup(
 def render(result: Fig7Result) -> str:
     countries = list(next(iter(result.boxes.values())).keys())
     rows = []
-    for category in CATEGORIES:
+    for category in FIG7_CATEGORIES:
         row = [category.value]
         for country in countries:
             stats = result.boxes[category][country]

@@ -20,10 +20,8 @@ import numpy as np
 from repro.analysis.aggregate import format_table, local_hour_of
 from repro.analysis.dataset import FlowFrame
 from repro.analysis.stats import cdf_at, quantiles
+from repro.constants import NIGHT_HOURS, PEAK_HOURS
 from repro.traffic.profiles import TOP_COUNTRIES
-
-NIGHT_HOURS = (2.0, 5.0)
-PEAK_HOURS = (13.0, 20.0)
 
 PAPER_SPAIN_NIGHT_UNDER_1S = 0.82
 PAPER_CONGO_OVER_2S = 0.20

@@ -14,20 +14,22 @@ from its DNS flows, then TCP flows are grouped by
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.aggregate import dominant_resolver_per_customer, format_table
+from repro.analysis.aggregate import (
+    dominant_resolver_per_customer,
+    format_table,
+    table2_group_of_flows,
+)
 from repro.analysis.dataset import FlowFrame
 from repro.analysis.domains import TABLE2_DOMAIN_GROUPS
-from repro.traffic.profiles import TOP_COUNTRIES
 
-#: Domain groups of Table 2 (appendix tables add more second-level
-#: domains; the benchmark may pass its own list). Shared with the
-#: streamed rollup sketch via :mod:`repro.analysis.domains`.
+#: Domain groups of Table 2 (the appendix tables add more second-level
+#: domains). Shared with the streamed rollup sketch via
+#: :mod:`repro.analysis.domains`.
 DOMAIN_GROUPS: Dict[str, str] = TABLE2_DOMAIN_GROUPS
 
 #: Published examples (ms): (country, resolver, domain) → mean ground RTT.
@@ -58,26 +60,11 @@ class Table2Result:
 def compute(
     frame: FlowFrame,
     countries: Sequence[str] = ("UK", "Nigeria"),
-    domain_groups: Optional[Dict[str, str]] = None,
     min_samples: int = 5,
 ) -> Table2Result:
     """Mean ground RTT per (country, resolver, domain group)."""
-    groups = domain_groups or DOMAIN_GROUPS
-    compiled = {name: re.compile(pattern) for name, pattern in groups.items()}
-
-    # Label each pooled domain with its group (tiny pool → cheap).
-    pool_group = np.full(len(frame.domains), -1, dtype=np.int16)
-    group_names = list(groups)
-    for d_idx, domain in enumerate(frame.domains):
-        for g_idx, name in enumerate(group_names):
-            if compiled[name].search(domain):
-                pool_group[d_idx] = g_idx
-                break
-
-    flow_group = np.full(len(frame), -1, dtype=np.int16)
-    has_domain = frame.domain_idx >= 0
-    flow_group[has_domain] = pool_group[frame.domain_idx[has_domain]]
-
+    group_names = list(DOMAIN_GROUPS)
+    flow_group = table2_group_of_flows(frame)
     resolver_of = dominant_resolver_per_customer(frame)
     flow_resolver = np.array(
         [resolver_of.get(int(c), -1) for c in frame.customer_id], dtype=np.int16

@@ -252,13 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="windows generated ahead of the spill/fold commit thread "
         "(0 = lockstep; default 1); output is identical at any depth",
     )
-    stream.add_argument(
-        "--engine",
-        choices=("python", "vectorized"),
-        default=None,
-        help="packet-path compute engine (digest-identical; default "
-        "python)",
-    )
 
     fleet = sub.add_parser(
         "fleet",
@@ -488,8 +481,6 @@ def _scenario_from_args(
         flags["execution.compress"] = False
     if getattr(args, "pipeline_depth", None) is not None:
         flags["execution.pipeline_depth"] = args.pipeline_depth
-    if getattr(args, "engine", None) is not None:
-        flags["execution.engine"] = args.engine
     if getattr(args, "serve_port", None) is not None:
         flags["serve.enabled"] = True
         flags["serve.port"] = args.serve_port

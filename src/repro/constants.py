@@ -50,3 +50,9 @@ flows in a day (Section 4)."""
 BULK_FLOW_MIN_BYTES = 10 * BYTES_PER_MB
 """Minimum flow size considered a valid bulk-download throughput sample
 (Section 6.5)."""
+
+NIGHT_HOURS = (2.0, 5.0)
+"""Local-hour night period ``[start, end)`` of Figures 8a and 11b."""
+
+PEAK_HOURS = (13.0, 20.0)
+"""Local-hour peak period ``[start, end)`` of Figures 8 and 11b."""

@@ -21,8 +21,7 @@ adjustment consumes **zero RNG draws**: the wrapped model's bulk
 sampler is called with the exact argument sequence it always saw, and
 the time-varying delta is a pure function of each flow's timestamp.
 Captures therefore stay bit-identical across ``--workers``,
-``--pipeline-depth``, ``--engine`` and fleet partitioning, for GEO and
-LEO alike.
+``--pipeline-depth`` and fleet partitioning, for GEO and LEO alike.
 """
 
 from __future__ import annotations

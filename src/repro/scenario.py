@@ -1240,7 +1240,6 @@ class Scenario:
             scenario=self,
             faults=self.fault_plan(),
             pipeline_depth=self.execution.pipeline_depth,
-            engine=self.execution.engine,
         )
 
     def qos_config(self) -> QosScenarioConfig:

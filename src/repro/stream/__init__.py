@@ -11,8 +11,8 @@ Public surface:
 * :class:`StreamConfig`, :func:`run_stream_capture`,
   :class:`WindowedProducer`, :func:`plan_windows` — producing.
 * :class:`FlowStore` — the on-disk capture directory.
-* :class:`StreamRollup`, :class:`HourlyRollup`, :class:`HistFamily` —
-  the mergeable rollup family.
+* :class:`StreamRollup`, :class:`HistFamily` — the mergeable rollup
+  sketches.
 * :func:`load_checkpoint`, :class:`Checkpoint` — resume cursors.
 """
 
@@ -32,7 +32,7 @@ from repro.stream.producer import (
     run_stream_capture,
     stream_kill_points,
 )
-from repro.stream.rollup import HistFamily, HourlyRollup, StreamRollup
+from repro.stream.rollup import HistFamily, StreamRollup
 from repro.stream.store import FlowStore, WindowEntry
 from repro.stream.telemetry import peak_rss_mb, render_telemetry
 
@@ -40,7 +40,6 @@ __all__ = [
     "Checkpoint",
     "FlowStore",
     "HistFamily",
-    "HourlyRollup",
     "StreamConfig",
     "StreamResult",
     "StreamRollup",

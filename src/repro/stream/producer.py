@@ -27,8 +27,8 @@ thread performs the *entire* PR-2 commit sequence for each window in
 index order — spill → rollup save → checkpoint — so every named
 kill-point and the byte-identical-resume guarantee survive the
 overlap untouched; ``pipeline_depth=0`` recovers the lockstep loop.
-Neither knob is content: digests are identical across depths, worker
-counts and engines.
+Neither knob is content: digests are identical across depths and
+worker counts.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from repro.analysis.source import CaptureError
 from repro.cache import stream_capture_key
 from repro.constants import SECONDS_PER_DAY
 from repro.faults import FaultInjector, FaultPlan, FaultStats, resolve_injector
-from repro.kernels import resolve_engine
 from repro.parallel import ShardWorkerPool, generate_window_shards, resolve_workers
 from repro.stream.checkpoint import (
     Checkpoint,
@@ -124,11 +123,6 @@ class StreamConfig:
     runs the stages lockstep in one thread; ``N >= 1`` lets generation
     run up to ``N`` windows ahead of the commit thread. Execution-only:
     never part of the capture key, digests are identical at any depth."""
-    engine: str = "python"
-    """Kernel engine (``python`` or ``vectorized``) recorded for the
-    packet-level components (:mod:`repro.kernels`). Execution-only and
-    digest-neutral by contract — the streaming generator is already
-    columnar, so both engines produce bit-identical captures."""
 
     def capture_key(self) -> str:
         keyed = self.scenario if self.scenario is not None else self.workload
@@ -511,7 +505,6 @@ def run_stream_capture(
         raise ValueError(
             f"pipeline_depth must be >= 0 (got {config.pipeline_depth})"
         )
-    resolve_engine(config.engine)  # validate early; generation is columnar
     injector = resolve_injector(faults if faults is not None else config.faults)
     injector.kill_point("stream:init")
     generator = config.build_generator()

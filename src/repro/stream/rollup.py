@@ -26,14 +26,16 @@ need:
 * per-(country, plan) video-session QoE bank        → Figure 12
 * per-customer resolver/domain-group RTT banks      → Table 2
 
+Every fixed-shape bank is declared once, in :attr:`StreamRollup.BANKS`;
+construction, ``merge``, ``copy``, ``save``/``load`` and
+``state_digest`` walk that table. Only the two counters and the three
+keyed banks, which grow with the capture (per-country customer sets,
+per-day volumes, per-customer Table 2 vectors), are handled by name.
+
 ``update`` must see *whole* windows whose boundaries fall on day
 edges (the producer guarantees this): the customer-day sketches
 (Figures 5/6/7) are only exact when no customer-day straddles two
 updates.
-
-:class:`HourlyRollup` — the paper's Section 3.1 hourly aggregate view
-— lives here too as the third member of the rollup family (frame →
-hourly cells, mergeable across day-aligned chunks).
 """
 
 from __future__ import annotations
@@ -41,23 +43,31 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import zipfile
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.analysis.aggregate import local_hour_of
+from repro.analysis.aggregate import (
+    fold_video_sessions,
+    local_hour_of,
+    table2_group_of_flows,
+)
 from repro.analysis.source import CaptureError
 from repro.faults import FaultInjector, atomic_write_bytes
-from repro.analysis.classify import ServiceClassifier
+from repro.analysis.classify import FIG7_CATEGORIES, ServiceClassifier
 from repro.analysis.dataset import FlowFrame
 from repro.analysis.domains import TABLE2_DOMAIN_GROUPS
-from repro.constants import BULK_FLOW_MIN_BYTES
+from repro.constants import (
+    ACTIVE_CUSTOMER_FLOW_THRESHOLD,
+    BULK_FLOW_MIN_BYTES,
+    NIGHT_HOURS,
+    PEAK_HOURS,
+)
 from repro.flowmeter.records import L7Protocol, L7_ORDER
-from repro.satcom.plans import PLAN_ORDER, plan_index_bulk
+from repro.satcom.plans import PLAN_ORDER
 from repro.traffic.services import ServiceCategory
 
 #: Bump when the sketch layout changes; saved states refuse to load
@@ -65,23 +75,6 @@ from repro.traffic.services import ServiceCategory
 #: v3 added the per-(country, local-hour) satellite-RTT bank (h8_hour).
 #: v4 added the per-(country, plan) video-session QoE bank (Figure 12).
 ROLLUP_SCHEMA = 4
-
-#: Figure 7 category axis (must match fig7_service_volume.CATEGORIES).
-FIG7_CATEGORIES = (
-    ServiceCategory.AUDIO,
-    ServiceCategory.CHAT,
-    ServiceCategory.SEARCH,
-    ServiceCategory.SOCIAL,
-    ServiceCategory.VIDEO,
-    ServiceCategory.WORK,
-)
-
-#: Figure 8a local-hour periods (match fig8_satellite_rtt).
-NIGHT_HOURS = (2.0, 5.0)
-PEAK_HOURS = (13.0, 20.0)
-
-#: Figure 5 activity knee (flows/day below which a CPE counts as idle).
-IDLE_FLOW_THRESHOLD = 250.0
 
 _TCP_L7 = (L7Protocol.HTTPS, L7Protocol.HTTP, L7Protocol.OTHER_TCP)
 
@@ -155,6 +148,15 @@ class HistFamily:
         self.under += other.under
         self.over += other.over
 
+    def copy(self) -> "HistFamily":
+        """An unaliased copy; only the read-only edges are shared."""
+        other = HistFamily.__new__(HistFamily)
+        other.edges = self.edges
+        other.counts = self.counts.copy()
+        other.under = self.under.copy()
+        other.over = self.over.copy()
+        return other
+
     # -- queries -------------------------------------------------------
 
     def total(self, row: int) -> float:
@@ -201,12 +203,75 @@ class HistFamily:
         return np.array([self.quantile(row, q) for q in qs])
 
 
-@dataclass
-class _HistSpec:
-    """(attribute name, bin edges) of one serialized histogram bank."""
+_Dims = Mapping[str, int]
+_State = Mapping[str, np.ndarray]
+
+
+def _restore(data: _State, key: str, shape: Tuple[int, ...]) -> np.ndarray:
+    array = data[key]
+    if array.shape != shape:
+        raise ValueError(f"{key} has shape {array.shape}, expected {shape}")
+    return array.copy()
+
+
+@dataclass(frozen=True, eq=False)
+class ArrayBank:
+    """A fixed-shape state array, saved under its attribute name.
+
+    ``axes`` are keys of ``StreamRollup._dims()`` or literal lengths.
+    ``merge`` is the ufunc that folds another rollup's bank in place;
+    ``fill`` is its identity, the value of an empty bank.
+    """
+
+    name: str
+    dtype: type
+    axes: Tuple[Union[str, int], ...]
+    merge: np.ufunc = np.add
+    fill: float = 0.0
+
+    def shape(self, dims: _Dims) -> Tuple[int, ...]:
+        return tuple(dims[a] if isinstance(a, str) else a for a in self.axes)
+
+    def empty(self, dims: _Dims) -> np.ndarray:
+        return np.full(self.shape(dims), self.fill, dtype=self.dtype)
+
+    def fold(self, mine: np.ndarray, theirs: np.ndarray) -> None:
+        self.merge(mine, theirs, out=mine)
+
+    def arrays(self, bank: np.ndarray) -> Dict[str, np.ndarray]:
+        return {self.name: bank}
+
+    def restore(self, data: _State, dims: _Dims) -> np.ndarray:
+        return _restore(data, self.name, self.shape(dims))
+
+
+_HIST_PARTS = ("counts", "under", "over")
+
+
+@dataclass(frozen=True, eq=False)
+class HistBank:
+    """A :class:`HistFamily` with ``dims[rows]`` rows, saved as
+    ``{name}_counts``, ``{name}_under`` and ``{name}_over``."""
 
     name: str
     edges: np.ndarray
+    rows: str
+
+    def empty(self, dims: _Dims) -> HistFamily:
+        return HistFamily(self.edges, dims[self.rows])
+
+    def fold(self, mine: HistFamily, theirs: HistFamily) -> None:
+        mine.merge(theirs)
+
+    def arrays(self, hist: HistFamily) -> Dict[str, np.ndarray]:
+        return {f"{self.name}_{part}": getattr(hist, part) for part in _HIST_PARTS}
+
+    def restore(self, data: _State, dims: _Dims) -> HistFamily:
+        hist = self.empty(dims)
+        for part in _HIST_PARTS:
+            key = f"{self.name}_{part}"
+            setattr(hist, part, _restore(data, key, getattr(hist, part).shape))
+        return hist
 
 
 class StreamRollup:
@@ -233,6 +298,60 @@ class StreamRollup:
     #: (room for ladders longer than the default five rungs).
     QOE_LEVEL_EDGES = np.linspace(0.0, 8.0, 81)
 
+    #: Every fixed-shape bank, declared once. Adding one takes an entry
+    #: here, its fold code in :meth:`update` and a ``ROLLUP_SCHEMA``
+    #: bump. A flattened row axis puts the group first
+    #: (row = group * n_countries + country), except ``country_hour``
+    #: (row = country * 24 + local hour).
+    BANKS: Tuple[Union[ArrayBank, HistBank], ...] = (
+        # Figure 2: per-country counters
+        ArrayBank("bytes_up_c", np.float64, ("country",)),
+        ArrayBank("bytes_down_c", np.float64, ("country",)),
+        ArrayBank("flows_c", np.int64, ("country",)),
+        # Figure 3: (country, l7, hour) volume
+        ArrayBank("vol_clh", np.float64, ("country", "l7", 24)),
+        # Figures 6/7-style: (country, service, hour) volume
+        ArrayBank("vol_csh", np.float64, ("country", "service", 24)),
+        # Figure 5: customer-day counters and histograms
+        ArrayBank("cd_total_c", np.int64, ("country",)),
+        ArrayBank("cd_idle_c", np.int64, ("country",)),
+        HistBank("h5_flows", FLOW_EDGES, "country"),
+        HistBank("h5_down", BYTE_EDGES, "country"),
+        HistBank("h5_up", BYTE_EDGES, "country"),
+        # Figure 6: Σ over days of distinct customers per (country,
+        # classifier service); exact under day-aligned windows
+        ArrayBank("svc_cust_days", np.int64, ("country", "classifier")),
+        # Figure 7: customer-day volume per (category, country)
+        HistBank("h7_volume", CAT_BYTE_EDGES, "category_country"),
+        # Figure 8a: night/peak satellite RTT and its exact minimum
+        HistBank("h8_night", SAT_EDGES, "country"),
+        HistBank("h8_peak", SAT_EDGES, "country"),
+        ArrayBank("sat_min_c", np.float64, ("country",), np.minimum, np.inf),
+        # Figure 8b: satellite RTT vs local time of day. Flat for GEO;
+        # the constellation engine makes the per-hour medians move.
+        HistBank("h8_hour", SAT_EDGES, "country_hour"),
+        # Figure 9: ground RTT, count- and volume-weighted
+        HistBank("h9_cnt", GROUND_EDGES, "country"),
+        HistBank("h9_vol", GROUND_EDGES, "country"),
+        # Figure 10: DNS flows per (country, resolver) — exact shares —
+        # plus per-resolver response-time histograms
+        ArrayBank("dns_cr", np.int64, ("country", "resolver")),
+        HistBank("h10_resp", DNS_EDGES, "resolver_rows"),
+        # Figure 11: bulk-flow throughput, all / night / peak
+        HistBank("h11_all", TPUT_EDGES, "country"),
+        HistBank("h11_night", TPUT_EDGES, "country"),
+        HistBank("h11_peak", TPUT_EDGES, "country"),
+        # Figure 12: video-session QoE per (plan, country). A session
+        # lives inside one (customer, day), so it never straddles
+        # windows and folding windows in any order is exact.
+        ArrayBank("qoe_sessions", np.int64, ("plan_country",)),
+        ArrayBank("qoe_rebuffer_sum", np.float64, ("plan_country",)),
+        ArrayBank("qoe_level_sum", np.float64, ("plan_country",)),
+        ArrayBank("qoe_switch_sum", np.float64, ("plan_country",)),
+        HistBank("h12_rebuf", QOE_REBUF_EDGES, "plan_country"),
+        HistBank("h12_level", QOE_LEVEL_EDGES, "plan_country"),
+    )
+
     def __init__(
         self,
         countries: Sequence[str],
@@ -242,76 +361,38 @@ class StreamRollup:
         self.countries = list(countries)
         self.services = list(services)
         self.resolvers = list(resolvers)
-        nc, ns, nl = len(self.countries), len(self.services), len(L7_ORDER)
-        nr = len(self.resolvers)
+        self._classifier = ServiceClassifier()
+        self.classifier_services = [r.service for r in self._classifier.rules]
+        self._t2_groups = list(TABLE2_DOMAIN_GROUPS)
 
         self.flows_total = 0
         self.windows_folded = 0
-        # Figure 2 counters
-        self.bytes_up_c = np.zeros(nc, dtype=np.float64)
-        self.bytes_down_c = np.zeros(nc, dtype=np.float64)
-        self.flows_c = np.zeros(nc, dtype=np.int64)
-        self._customers: List[set] = [set() for _ in range(nc)]
-        # Figure 3: (country, l7, hour) volume
-        self.vol_clh = np.zeros((nc, nl, 24), dtype=np.float64)
-        # Figures 6/7-style: (country, service+1, hour) volume;
-        # service index 0 is "unattributed" (service_true_idx == -1)
-        self.vol_csh = np.zeros((nc, ns + 1, 24), dtype=np.float64)
-        # Figure 4: day -> (country, hour) volume
+        dims = self._dims()
+        for bank in self.BANKS:
+            setattr(self, bank.name, bank.empty(dims))
+        # Keyed banks, grown by the capture. Figure 2: distinct customers
+        # per country. Figure 4: day -> (country, hour) volume. Table 2:
+        # customer -> DNS flows per resolver plus ground-RTT (sum, count)
+        # per domain group.
+        self._customers: List[set] = [set() for _ in self.countries]
         self.vol_day: Dict[int, np.ndarray] = {}
-        # Figure 5
-        self.cd_total_c = np.zeros(nc, dtype=np.int64)
-        self.cd_idle_c = np.zeros(nc, dtype=np.int64)
-        self.h5_flows = HistFamily(self.FLOW_EDGES, nc)
-        self.h5_down = HistFamily(self.BYTE_EDGES, nc)
-        self.h5_up = HistFamily(self.BYTE_EDGES, nc)
-        # Figure 8a
-        self.h8_night = HistFamily(self.SAT_EDGES, nc)
-        self.h8_peak = HistFamily(self.SAT_EDGES, nc)
-        self.sat_min_c = np.full(nc, np.inf, dtype=np.float64)
-        # Figure 8b: satellite RTT vs local time of day,
-        # row = country * 24 + local_hour. Flat for GEO; the
-        # constellation engine makes the per-hour medians move.
-        self.h8_hour = HistFamily(self.SAT_EDGES, nc * 24)
-        # Figure 9
-        self.h9_cnt = HistFamily(self.GROUND_EDGES, nc)
-        self.h9_vol = HistFamily(self.GROUND_EDGES, nc)
-        # Figure 6: Σ over days of distinct customers per
-        # (country, classifier service); exact under day-aligned windows.
-        self._classifier = ServiceClassifier()
-        self.classifier_services = [r.service for r in self._classifier.rules]
-        n_svc = len(self.classifier_services)
-        self.svc_cust_days = np.zeros((nc, n_svc), dtype=np.int64)
-        # Figure 7: customer-day category volume histograms,
-        # row = category * nc + country.
-        self.h7_volume = HistFamily(self.CAT_BYTE_EDGES, len(FIG7_CATEGORIES) * nc)
-        # Figure 10: DNS flow counts per (country, resolver) — exact
-        # shares — plus per-resolver response-time histograms.
-        self.dns_cr = np.zeros((nc, nr), dtype=np.int64)
-        self.h10_resp = HistFamily(self.DNS_EDGES, max(nr, 1))
-        # Figure 11: per-country bulk-flow throughput (all / night / peak).
-        self.h11_all = HistFamily(self.TPUT_EDGES, nc)
-        self.h11_night = HistFamily(self.TPUT_EDGES, nc)
-        self.h11_peak = HistFamily(self.TPUT_EDGES, nc)
-        # Figure 12: video-session QoE per (plan, country),
-        # row = plan * nc + country. Sessions are deduped per window
-        # (every chunk of a session carries the same QoE triple), and
-        # a session never straddles windows — it lives inside one
-        # (customer, day) — so folding windows in any order is exact.
-        n_plans = len(PLAN_ORDER)
-        self.qoe_sessions = np.zeros(n_plans * nc, dtype=np.int64)
-        self.qoe_rebuffer_sum = np.zeros(n_plans * nc, dtype=np.float64)
-        self.qoe_level_sum = np.zeros(n_plans * nc, dtype=np.float64)
-        self.qoe_switch_sum = np.zeros(n_plans * nc, dtype=np.float64)
-        self.h12_rebuf = HistFamily(self.QOE_REBUF_EDGES, n_plans * nc)
-        self.h12_level = HistFamily(self.QOE_LEVEL_EDGES, n_plans * nc)
-        # Table 2: per-customer bank — DNS flows per resolver plus
-        # ground-RTT (sum, count) per Table 2 domain group.
-        self._t2_groups = list(TABLE2_DOMAIN_GROUPS)
-        self._t2_compiled = [
-            re.compile(TABLE2_DOMAIN_GROUPS[name]) for name in self._t2_groups
-        ]
         self._t2: Dict[int, np.ndarray] = {}
+
+    def _dims(self) -> Dict[str, int]:
+        """The axis lengths the :attr:`BANKS` shapes are declared over."""
+        nc, nr = len(self.countries), len(self.resolvers)
+        return {
+            "country": nc,
+            # generator services plus slot 0 for unattributed flows
+            "service": len(self.services) + 1,
+            "l7": len(L7_ORDER),
+            "resolver": nr,
+            "classifier": len(self.classifier_services),
+            "country_hour": nc * 24,
+            "category_country": len(FIG7_CATEGORIES) * nc,
+            "plan_country": len(PLAN_ORDER) * nc,
+            "resolver_rows": max(nr, 1),
+        }
 
     @property
     def _t2_vec_len(self) -> int:
@@ -322,24 +403,13 @@ class StreamRollup:
         """An empty rollup matching ``frame``'s categorical pools."""
         return cls(frame.countries, frame.services, frame.resolvers)
 
-    def _hist_specs(self) -> List[_HistSpec]:
-        return [
-            _HistSpec("h5_flows", self.FLOW_EDGES),
-            _HistSpec("h5_down", self.BYTE_EDGES),
-            _HistSpec("h5_up", self.BYTE_EDGES),
-            _HistSpec("h7_volume", self.CAT_BYTE_EDGES),
-            _HistSpec("h8_night", self.SAT_EDGES),
-            _HistSpec("h8_peak", self.SAT_EDGES),
-            _HistSpec("h8_hour", self.SAT_EDGES),
-            _HistSpec("h9_cnt", self.GROUND_EDGES),
-            _HistSpec("h9_vol", self.GROUND_EDGES),
-            _HistSpec("h10_resp", self.DNS_EDGES),
-            _HistSpec("h11_all", self.TPUT_EDGES),
-            _HistSpec("h11_night", self.TPUT_EDGES),
-            _HistSpec("h11_peak", self.TPUT_EDGES),
-            _HistSpec("h12_rebuf", self.QOE_REBUF_EDGES),
-            _HistSpec("h12_level", self.QOE_LEVEL_EDGES),
-        ]
+    def _same_pools(self, other) -> bool:
+        """``other`` (a frame or a rollup) has this rollup's pools."""
+        return (other.countries, other.services, other.resolvers) == (
+            self.countries,
+            self.services,
+            self.resolvers,
+        )
 
     # -- update --------------------------------------------------------
 
@@ -353,12 +423,10 @@ class StreamRollup:
         self.windows_folded += 1
         if frame is None or len(frame) == 0:
             return self
-        if (
-            frame.countries != self.countries
-            or frame.services != self.services
-            or frame.resolvers != self.resolvers
-        ):
+        if not self._same_pools(frame):
             raise ValueError("frame pools do not match this rollup")
+        if frame.customer_id.max() >= 1_000_000:
+            raise ValueError("rollup keys assume customer ids below 1e6")
         nc = len(self.countries)
         c = frame.country_idx.astype(np.int64)
         hour = frame.hour_utc.astype(np.int64) % 24
@@ -399,7 +467,7 @@ class StreamRollup:
         self._update_rtt(frame, c, vol)
         self._update_services(frame, c, vol)
         self._update_dns(frame, c)
-        self._update_qoe(frame, c)
+        self._update_qoe(frame)
         return self
 
     def _update_customer_days(self, frame: FlowFrame, c: np.ndarray) -> None:
@@ -418,7 +486,7 @@ class StreamRollup:
 
         nc = len(self.countries)
         self.cd_total_c += np.bincount(group_country, minlength=nc).astype(np.int64)
-        idle = flows < IDLE_FLOW_THRESHOLD
+        idle = flows < ACTIVE_CUSTOMER_FLOW_THRESHOLD
         self.cd_idle_c += np.bincount(
             group_country[idle], minlength=nc
         ).astype(np.int64)
@@ -515,35 +583,16 @@ class StreamRollup:
         g_cat = cat[has_cat][order][starts]
         self.h7_volume.update(g_cat * nc + g_country, sums)
 
-    def _update_qoe(self, frame: FlowFrame, c: np.ndarray) -> None:
-        """Figure 12: per-(country, plan) video-session QoE.
 
-        Every chunk flow of a session repeats the session's QoE triple,
-        so the window's sessions are recovered by deduping on
-        ``session_id`` (globally unique — the id encodes customer and
-        day) and each session contributes exactly once.
-        """
-        has = frame.session_id >= 0
-        if not has.any():
-            return
-        ids = frame.session_id[has]
-        _, first = np.unique(ids, return_index=True)
-        plan = plan_index_bulk(frame.plan_down_mbps[has][first]).astype(np.int64)
-        rebuf = frame.qoe_rebuffer[has][first].astype(np.float64)
-        level = frame.qoe_level[has][first].astype(np.float64)
-        switches = frame.qoe_switches[has][first].astype(np.float64)
-        ok = (plan >= 0) & np.isfinite(rebuf) & np.isfinite(level)
-        if not ok.any():
-            return
-        nc = len(self.countries)
-        rows = plan[ok] * nc + c[has][first][ok]
-        size = len(PLAN_ORDER) * nc
-        self.qoe_sessions += np.bincount(rows, minlength=size).astype(np.int64)
-        self.qoe_rebuffer_sum += np.bincount(rows, weights=rebuf[ok], minlength=size)
-        self.qoe_level_sum += np.bincount(rows, weights=level[ok], minlength=size)
-        self.qoe_switch_sum += np.bincount(rows, weights=switches[ok], minlength=size)
-        self.h12_rebuf.update(rows, rebuf[ok])
-        self.h12_level.update(rows, level[ok])
+    def _update_qoe(self, frame: FlowFrame) -> None:
+        """Figure 12: per-(country, plan) video-session QoE."""
+        rows, rebuffer, level, sums = fold_video_sessions(frame)
+        self.qoe_sessions += sums[0]
+        self.qoe_rebuffer_sum += sums[1]
+        self.qoe_level_sum += sums[2]
+        self.qoe_switch_sum += sums[3]
+        self.h12_rebuf.update(rows, rebuffer)
+        self.h12_level.update(rows, level)
 
     def _update_dns(self, frame: FlowFrame, c: np.ndarray) -> None:
         """Figure 10 counters/histograms and the Table 2 customer bank."""
@@ -562,15 +611,7 @@ class StreamRollup:
         # Table 2 bank: group flows by customer, then accumulate that
         # customer's resolver counts and per-domain-group RTT sums.
         ng = len(self._t2_groups)
-        pool_group = np.full(len(frame.domains), -1, dtype=np.int16)
-        for d_idx, domain in enumerate(frame.domains):
-            for g_idx, pattern in enumerate(self._t2_compiled):
-                if pattern.search(domain):
-                    pool_group[d_idx] = g_idx
-                    break
-        flow_group = np.full(len(frame), -1, dtype=np.int16)
-        has_domain = frame.domain_idx >= 0
-        flow_group[has_domain] = pool_group[frame.domain_idx[has_domain]]
+        flow_group = table2_group_of_flows(frame)
         rtt_ok = np.isfinite(frame.ground_rtt_ms) & (flow_group >= 0)
 
         relevant = dns | rtt_ok
@@ -602,41 +643,24 @@ class StreamRollup:
                 )
                 vec[nr + ng :] += np.bincount(groups, minlength=ng)
 
+
     # -- merge ---------------------------------------------------------
 
     def merge(self, other: "StreamRollup") -> "StreamRollup":
         """Fold another rollup in (associative, pools must match)."""
-        if (
-            other.countries != self.countries
-            or other.services != self.services
-            or other.resolvers != self.resolvers
-        ):
+        if not self._same_pools(other):
             raise ValueError("cannot merge rollups with different pools")
         self.flows_total += other.flows_total
         self.windows_folded += other.windows_folded
-        self.bytes_up_c += other.bytes_up_c
-        self.bytes_down_c += other.bytes_down_c
-        self.flows_c += other.flows_c
-        self.vol_clh += other.vol_clh
-        self.vol_csh += other.vol_csh
+        for bank in self.BANKS:
+            bank.fold(getattr(self, bank.name), getattr(other, bank.name))
+        for mine, theirs in zip(self._customers, other._customers):
+            mine |= theirs
         for day, matrix in other.vol_day.items():
             if day in self.vol_day:
                 self.vol_day[day] += matrix
             else:
                 self.vol_day[day] = matrix.copy()
-        for mine, theirs in zip(self._customers, other._customers):
-            mine |= theirs
-        self.cd_total_c += other.cd_total_c
-        self.cd_idle_c += other.cd_idle_c
-        for spec in self._hist_specs():
-            getattr(self, spec.name).merge(getattr(other, spec.name))
-        self.sat_min_c = np.minimum(self.sat_min_c, other.sat_min_c)
-        self.svc_cust_days += other.svc_cust_days
-        self.dns_cr += other.dns_cr
-        self.qoe_sessions += other.qoe_sessions
-        self.qoe_rebuffer_sum += other.qoe_rebuffer_sum
-        self.qoe_level_sum += other.qoe_level_sum
-        self.qoe_switch_sum += other.qoe_switch_sum
         for cid, vec in other._t2.items():
             mine = self._t2.setdefault(
                 cid, np.zeros(self._t2_vec_len, dtype=np.float64)
@@ -656,29 +680,11 @@ class StreamRollup:
         other = StreamRollup(self.countries, self.services, self.resolvers)
         other.flows_total = self.flows_total
         other.windows_folded = self.windows_folded
-        other.bytes_up_c = self.bytes_up_c.copy()
-        other.bytes_down_c = self.bytes_down_c.copy()
-        other.flows_c = self.flows_c.copy()
-        other.vol_clh = self.vol_clh.copy()
-        other.vol_csh = self.vol_csh.copy()
-        other.vol_day = {day: matrix.copy() for day, matrix in self.vol_day.items()}
+        for bank in self.BANKS:
+            setattr(other, bank.name, getattr(self, bank.name).copy())
         other._customers = [set(s) for s in self._customers]
-        other.cd_total_c = self.cd_total_c.copy()
-        other.cd_idle_c = self.cd_idle_c.copy()
-        other.sat_min_c = self.sat_min_c.copy()
-        other.svc_cust_days = self.svc_cust_days.copy()
-        other.dns_cr = self.dns_cr.copy()
-        other.qoe_sessions = self.qoe_sessions.copy()
-        other.qoe_rebuffer_sum = self.qoe_rebuffer_sum.copy()
-        other.qoe_level_sum = self.qoe_level_sum.copy()
-        other.qoe_switch_sum = self.qoe_switch_sum.copy()
+        other.vol_day = {day: matrix.copy() for day, matrix in self.vol_day.items()}
         other._t2 = {cid: vec.copy() for cid, vec in self._t2.items()}
-        for spec in self._hist_specs():
-            mine: HistFamily = getattr(self, spec.name)
-            theirs: HistFamily = getattr(other, spec.name)
-            theirs.counts = mine.counts.copy()
-            theirs.under = mine.under.copy()
-            theirs.over = mine.over.copy()
         return other
 
     # -- queries used by the from_rollup report paths ------------------
@@ -692,10 +698,6 @@ class StreamRollup:
 
     def customers_c(self) -> np.ndarray:
         return np.array([len(s) for s in self._customers], dtype=np.int64)
-
-    def days_seen(self, country: str) -> int:
-        row = self.country_row(country)
-        return sum(1 for matrix in self.vol_day.values() if matrix[row].sum() > 0)
 
     def hourly_day_median(self, country: str) -> np.ndarray:
         """24-vector: per-hour volume, median across days, normalized.
@@ -731,15 +733,6 @@ class StreamRollup:
             country
         )
 
-    def qoe_row(self, country: str, plan: str) -> int:
-        """Row of the Figure 12 QoE bank for one (country, plan) cell."""
-        return PLAN_ORDER.index(plan) * len(self.countries) + self.country_row(
-            country
-        )
-
-    def resolver_row(self, resolver: str) -> int:
-        return self.resolvers.index(resolver)
-
     def customers_of(self, country: str) -> List[int]:
         """Distinct customer ids seen in ``country`` (sorted)."""
         return sorted(self._customers[self.country_row(country)])
@@ -760,32 +753,29 @@ class StreamRollup:
 
     # -- persistence ---------------------------------------------------
 
+    def _meta(self) -> Dict[str, object]:
+        """Schema and pools: the saved ``meta`` and the digest prefix."""
+        return {
+            "schema": ROLLUP_SCHEMA,
+            "countries": self.countries,
+            "services": self.services,
+            "resolvers": self.resolvers,
+        }
+
     def _state_arrays(self) -> Dict[str, np.ndarray]:
         arrays: Dict[str, np.ndarray] = {
-            "bytes_up_c": self.bytes_up_c,
-            "bytes_down_c": self.bytes_down_c,
-            "flows_c": self.flows_c,
-            "vol_clh": self.vol_clh,
-            "vol_csh": self.vol_csh,
-            "cd_total_c": self.cd_total_c,
-            "cd_idle_c": self.cd_idle_c,
-            "sat_min_c": self.sat_min_c,
-            "svc_cust_days": self.svc_cust_days,
-            "dns_cr": self.dns_cr,
-            "qoe_sessions": self.qoe_sessions,
-            "qoe_rebuffer_sum": self.qoe_rebuffer_sum,
-            "qoe_level_sum": self.qoe_level_sum,
-            "qoe_switch_sum": self.qoe_switch_sum,
             "counters": np.array(
                 [self.flows_total, self.windows_folded], dtype=np.int64
             ),
         }
-        t2_ids = np.array(sorted(self._t2), dtype=np.int64)
-        arrays["t2_ids"] = t2_ids
-        arrays["t2_stats"] = (
-            np.stack([self._t2[int(cid)] for cid in t2_ids])
-            if len(t2_ids)
-            else np.zeros((0, self._t2_vec_len), dtype=np.float64)
+        for bank in self.BANKS:
+            arrays.update(bank.arrays(getattr(self, bank.name)))
+        ids = [np.array(sorted(s), dtype=np.int64) for s in self._customers]
+        arrays["cust_ids"] = (
+            np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
+        )
+        arrays["cust_offsets"] = np.cumsum([0] + [len(x) for x in ids]).astype(
+            np.int64
         )
         days = sorted(self.vol_day)
         arrays["day_keys"] = np.array(days, dtype=np.int64)
@@ -794,18 +784,13 @@ class StreamRollup:
             if days
             else np.zeros((0, len(self.countries), 24), dtype=np.float64)
         )
-        ids = [np.array(sorted(s), dtype=np.int64) for s in self._customers]
-        arrays["cust_ids"] = (
-            np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
+        t2_ids = np.array(sorted(self._t2), dtype=np.int64)
+        arrays["t2_ids"] = t2_ids
+        arrays["t2_stats"] = (
+            np.stack([self._t2[int(cid)] for cid in t2_ids])
+            if len(t2_ids)
+            else np.zeros((0, self._t2_vec_len), dtype=np.float64)
         )
-        arrays["cust_offsets"] = np.cumsum([0] + [len(x) for x in ids]).astype(
-            np.int64
-        )
-        for spec in self._hist_specs():
-            hist: HistFamily = getattr(self, spec.name)
-            arrays[f"{spec.name}_counts"] = hist.counts
-            arrays[f"{spec.name}_under"] = hist.under
-            arrays[f"{spec.name}_over"] = hist.over
         return arrays
 
     def state_digest(self) -> str:
@@ -816,17 +801,7 @@ class StreamRollup:
         compare one-shot vs killed-and-resumed captures with it.
         """
         digest = hashlib.sha256()
-        digest.update(
-            json.dumps(
-                {
-                    "schema": ROLLUP_SCHEMA,
-                    "countries": self.countries,
-                    "services": self.services,
-                    "resolvers": self.resolvers,
-                },
-                sort_keys=True,
-            ).encode()
-        )
+        digest.update(json.dumps(self._meta(), sort_keys=True).encode())
         for name, array in sorted(self._state_arrays().items()):
             digest.update(name.encode())
             digest.update(np.ascontiguousarray(array).tobytes())
@@ -834,14 +809,7 @@ class StreamRollup:
 
     def save(self, path, injector: Optional[FaultInjector] = None) -> None:
         """Atomically persist the rollup state to an ``.npz``."""
-        meta = json.dumps(
-            {
-                "schema": ROLLUP_SCHEMA,
-                "countries": self.countries,
-                "services": self.services,
-                "resolvers": self.resolvers,
-            }
-        )
+        meta = json.dumps(self._meta())
         arrays = self._state_arrays()
         atomic_write_bytes(
             os.fspath(path),
@@ -876,222 +844,24 @@ class StreamRollup:
                     f"{meta.get('schema')} != {ROLLUP_SCHEMA}"
                 )
             rollup = cls(meta["countries"], meta["services"], meta["resolvers"])
-            rollup.bytes_up_c = data["bytes_up_c"].copy()
-            rollup.bytes_down_c = data["bytes_down_c"].copy()
-            rollup.flows_c = data["flows_c"].copy()
-            rollup.vol_clh = data["vol_clh"].copy()
-            rollup.vol_csh = data["vol_csh"].copy()
-            rollup.cd_total_c = data["cd_total_c"].copy()
-            rollup.cd_idle_c = data["cd_idle_c"].copy()
-            rollup.sat_min_c = data["sat_min_c"].copy()
-            rollup.svc_cust_days = data["svc_cust_days"].copy()
-            rollup.dns_cr = data["dns_cr"].copy()
-            rollup.qoe_sessions = data["qoe_sessions"].copy()
-            rollup.qoe_rebuffer_sum = data["qoe_rebuffer_sum"].copy()
-            rollup.qoe_level_sum = data["qoe_level_sum"].copy()
-            rollup.qoe_switch_sum = data["qoe_switch_sum"].copy()
-            rollup._t2 = {
-                int(cid): data["t2_stats"][i].copy()
-                for i, cid in enumerate(data["t2_ids"])
-            }
             counters = data["counters"]
             rollup.flows_total = int(counters[0])
             rollup.windows_folded = int(counters[1])
-            day_keys = data["day_keys"]
-            day_vol = data["day_vol"]
-            rollup.vol_day = {
-                int(day): day_vol[i].copy() for i, day in enumerate(day_keys)
-            }
+            dims = rollup._dims()
+            for bank in cls.BANKS:
+                setattr(rollup, bank.name, bank.restore(data, dims))
             ids = data["cust_ids"]
             offsets = data["cust_offsets"]
             rollup._customers = [
                 set(int(x) for x in ids[offsets[i] : offsets[i + 1]])
                 for i in range(len(rollup.countries))
             ]
-            for spec in rollup._hist_specs():
-                hist: HistFamily = getattr(rollup, spec.name)
-                hist.counts = data[f"{spec.name}_counts"].copy()
-                hist.under = data[f"{spec.name}_under"].copy()
-                hist.over = data[f"{spec.name}_over"].copy()
+            day_vol = data["day_vol"]
+            rollup.vol_day = {
+                int(day): day_vol[i].copy() for i, day in enumerate(data["day_keys"])
+            }
+            t2_stats = data["t2_stats"]
+            rollup._t2 = {
+                int(cid): t2_stats[i].copy() for i, cid in enumerate(data["t2_ids"])
+            }
         return rollup
-
-
-@dataclass
-class HourlyRollup:
-    """The paper's Section 3.1 hourly aggregate view.
-
-    "The second step is to create aggregated views of the data to
-    obtain traffic breakdowns by protocols, server domains, time (with
-    1 hour granularity), country of the customer, and contacted
-    service" — one row per (day, hour, country, l7, service) with
-    flow/byte/customer counters, built in one vectorized pass and
-    queryable without touching the flow table again.
-
-    Part of the mergeable rollup family: :meth:`merge` folds two views
-    keyed on the same pools. Counters are exact; the distinct-customer
-    column is exact only when the merged views cover *disjoint day
-    ranges* (the streaming window discipline — a customer seen in the
-    same cell from both sides would be double counted).
-    """
-
-    day: np.ndarray
-    hour: np.ndarray
-    country_idx: np.ndarray
-    l7_idx: np.ndarray
-    service_idx: np.ndarray  # -1 = unattributed
-    flows: np.ndarray
-    bytes_total: np.ndarray
-    bytes_up: np.ndarray
-    bytes_down: np.ndarray
-    customers: np.ndarray  # distinct customers in the cell
-
-    countries: list
-    services: list
-
-    def __len__(self) -> int:
-        return len(self.day)
-
-    @staticmethod
-    def _decode_keys(unique: np.ndarray) -> Tuple[np.ndarray, ...]:
-        service = (unique % 100) - 1
-        rest = unique // 100
-        l7 = rest % 10
-        rest //= 10
-        country = rest % 100
-        rest //= 100
-        hour = rest % 100
-        day = rest // 100
-        return day, hour, country, l7, service
-
-    def _keys(self) -> np.ndarray:
-        return (
-            self.day.astype(np.int64) * 10_000_000
-            + self.hour.astype(np.int64) * 100_000
-            + self.country_idx.astype(np.int64) * 1_000
-            + self.l7_idx.astype(np.int64) * 100
-            + (self.service_idx.astype(np.int64) + 1)
-        )
-
-    @classmethod
-    def from_frame(cls, frame: FlowFrame) -> "HourlyRollup":
-        """Aggregate a flow table into hourly cells."""
-        if frame.customer_id.max(initial=0) >= 1_000_000:
-            raise ValueError("rollup keys assume customer ids below 1e6")
-        hours = frame.hour_utc.astype(np.int64) % 24
-        # Composite key: day | hour | country | l7 | service(+1)
-        key = (
-            frame.day.astype(np.int64) * 10_000_000
-            + hours * 100_000
-            + frame.country_idx.astype(np.int64) * 1_000
-            + frame.l7_idx.astype(np.int64) * 100
-            + (frame.service_true_idx.astype(np.int64) + 1)
-        )
-        # Sort by (cell, customer) so distinct-customer counting is a
-        # simple adjacent-difference within each cell.
-        combined = key * 1_000_000 + frame.customer_id.astype(np.int64)
-        order = np.argsort(combined, kind="stable")
-        sorted_combined = combined[order]
-        sorted_key = sorted_combined // 1_000_000
-        boundaries = np.concatenate(([0], np.flatnonzero(np.diff(sorted_key)) + 1))
-
-        def segsum(values: np.ndarray) -> np.ndarray:
-            return np.add.reduceat(values[order].astype(np.float64), boundaries)
-
-        unique = sorted_key[boundaries]
-        day, hour, country, l7, service = cls._decode_keys(unique)
-
-        distinct_mask = np.ones(len(sorted_combined), dtype=bool)
-        distinct_mask[1:] = np.diff(sorted_combined) != 0
-        customers = np.add.reduceat(distinct_mask.astype(np.float64), boundaries)
-
-        return cls(
-            day=day.astype(np.int32),
-            hour=hour.astype(np.int8),
-            country_idx=country.astype(np.int16),
-            l7_idx=l7.astype(np.int8),
-            service_idx=service.astype(np.int16),
-            flows=segsum(np.ones(len(frame))),
-            bytes_total=segsum(frame.bytes_total()),
-            bytes_up=segsum(frame.bytes_up),
-            bytes_down=segsum(frame.bytes_down),
-            customers=customers,
-            countries=list(frame.countries),
-            services=list(frame.services),
-        )
-
-    # -- merge -------------------------------------------------------------
-
-    def merge(self, other: "HourlyRollup") -> "HourlyRollup":
-        """Fold another view in (associative; pools must match)."""
-        if other.countries != self.countries or other.services != self.services:
-            raise ValueError("cannot merge rollups with different pools")
-        key = np.concatenate((self._keys(), other._keys()))
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        boundaries = np.concatenate(
-            ([0], np.flatnonzero(np.diff(sorted_key)) + 1)
-        )
-
-        def segsum(mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:
-            both = np.concatenate(
-                (mine.astype(np.float64), theirs.astype(np.float64))
-            )
-            return np.add.reduceat(both[order], boundaries)
-
-        unique = sorted_key[boundaries]
-        day, hour, country, l7, service = self._decode_keys(unique)
-        self.flows = segsum(self.flows, other.flows)
-        self.bytes_total = segsum(self.bytes_total, other.bytes_total)
-        self.bytes_up = segsum(self.bytes_up, other.bytes_up)
-        self.bytes_down = segsum(self.bytes_down, other.bytes_down)
-        self.customers = segsum(self.customers, other.customers)
-        self.day = day.astype(np.int32)
-        self.hour = hour.astype(np.int8)
-        self.country_idx = country.astype(np.int16)
-        self.l7_idx = l7.astype(np.int8)
-        self.service_idx = service.astype(np.int16)
-        return self
-
-    # -- queries -----------------------------------------------------------
-
-    def _mask(
-        self,
-        country: Optional[str] = None,
-        l7_idx: Optional[int] = None,
-        service: Optional[str] = None,
-        hour: Optional[int] = None,
-        day: Optional[int] = None,
-    ) -> np.ndarray:
-        mask = np.ones(len(self), dtype=bool)
-        if country is not None:
-            mask &= self.country_idx == self.countries.index(country)
-        if l7_idx is not None:
-            mask &= self.l7_idx == l7_idx
-        if service is not None:
-            mask &= self.service_idx == self.services.index(service)
-        if hour is not None:
-            mask &= self.hour == hour
-        if day is not None:
-            mask &= self.day == day
-        return mask
-
-    def volume(self, **filters) -> float:
-        """Total bytes matching the filters."""
-        return float(self.bytes_total[self._mask(**filters)].sum())
-
-    def flow_count(self, **filters) -> float:
-        """Total flows matching the filters."""
-        return float(self.flows[self._mask(**filters)].sum())
-
-    def hourly_series(self, country: str) -> np.ndarray:
-        """24-vector of volume per UTC hour (sums across days)."""
-        out = np.zeros(24)
-        mask = self._mask(country=country)
-        np.add.at(out, self.hour[mask].astype(int), self.bytes_total[mask])
-        return out
-
-    def reduction_factor(self, frame: FlowFrame) -> float:
-        """How many times smaller the rollup is than the flow table."""
-        if len(self) == 0:
-            return float("inf")
-        return len(frame) / len(self)

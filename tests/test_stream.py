@@ -574,6 +574,41 @@ def test_cli_stream_report_without_capture(tmp_path, capsys):
     assert "no such capture" in capsys.readouterr().err
 
 
+# Absolute digest pins. Every other digest test compares two captures
+# with each other; these pin the rollup format itself, so renaming,
+# reshaping, retyping or re-folding any bank fails here even when it
+# does so consistently. The video-streaming capture holds QoE sessions,
+# so the Figure 12 banks are non-zero.
+DIGEST_PINS = {
+    "baseline-geo": (
+        ["--customers", "120", "--days", "2", "--seed", "11", "--window-days", "1"],
+        315_419,
+        0,
+        "c2c012b8ed340ecb6cb6c0ee6aa76160fd111edd5755fa1ff02239ec3e8e7686",
+    ),
+    "video-streaming": (
+        ["--scenario", "video-streaming", "--customers", "60", "--days", "2",
+         "--seed", "3"],
+        115_409,
+        59,
+        "0cf509aa67460b294deaaf6373113659d7fcf1d18d5e7306fc2ba50040a23cbd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_PINS))
+def test_cli_stream_digest_is_pinned(name, tmp_path, capsys):
+    args, flows, sessions, digest = DIGEST_PINS[name]
+    directory = tmp_path / "cap"
+    assert main(["stream", *args, "--no-compress", "--dir", str(directory)]) == 0
+    capsys.readouterr()
+    rollup = StreamRollup.load(rollup_path(directory))
+    assert rollup.flows_total == flows
+    assert int(rollup.qoe_sessions.sum()) == sessions
+    assert rollup.state_digest() == digest
+    assert load_checkpoint(directory).rollup_digest == digest
+
+
 # -- the whole point: bounded memory ---------------------------------------
 
 
