@@ -46,7 +46,7 @@ def _circular_bump(hour_local, peak: float, width: float):
     return np.exp(-(distance**2) / (2.0 * width**2))
 
 
-def _diurnal_shape(hour_local, continent: str):
+def diurnal_shape(hour_local, continent: str):
     """Relative load in [~0.2, 1.0] over the local day (vectorized).
 
     Europe peaks in the evening; African load is high through the
@@ -64,6 +64,17 @@ def _diurnal_shape(hour_local, continent: str):
     if np.ndim(hour_local) == 0:
         return float(shape)
     return shape
+
+
+def utilization_at(peak_utilization: np.ndarray, shape: np.ndarray) -> np.ndarray:
+    """Per-flow radio utilization from a :func:`diurnal_shape`."""
+    return np.minimum(0.99, peak_utilization * shape)
+
+
+def pep_load_at(pep_load: np.ndarray, shape: np.ndarray) -> np.ndarray:
+    """Per-flow PEP load from the same :func:`diurnal_shape`, flattened
+    (see :meth:`BeamMap.pep_utilization`)."""
+    return np.minimum(0.99, pep_load * (0.72 + 0.28 * shape))
 
 
 @dataclass
@@ -91,7 +102,7 @@ class BeamMap:
     def utilization(self, beam: Beam, hour_local: float) -> float:
         """Radio utilization of ``beam`` at local time ``hour_local``."""
         continent = COUNTRIES[beam.country].continent
-        return min(0.99, beam.peak_utilization * _diurnal_shape(hour_local, continent))
+        return min(0.99, beam.peak_utilization * diurnal_shape(hour_local, continent))
 
     def pep_utilization(self, beam: Beam, hour_local: float) -> float:
         """PEP processing load of ``beam`` at local time ``hour_local``.
@@ -102,21 +113,20 @@ class BeamMap:
         during periods of low peak traffic" (Section 6.1).
         """
         continent = COUNTRIES[beam.country].continent
-        shape = 0.72 + 0.28 * _diurnal_shape(hour_local, continent)
+        shape = 0.72 + 0.28 * diurnal_shape(hour_local, continent)
         return min(0.99, beam.pep_load * shape)
 
     def utilization_bulk(
         self, peak_utilization: np.ndarray, hour_local: np.ndarray, continent: str
     ) -> np.ndarray:
         """Vectorized :meth:`utilization` over per-flow arrays."""
-        return np.minimum(0.99, peak_utilization * _diurnal_shape(hour_local, continent))
+        return utilization_at(peak_utilization, diurnal_shape(hour_local, continent))
 
     def pep_utilization_bulk(
         self, pep_load: np.ndarray, hour_local: np.ndarray, continent: str
     ) -> np.ndarray:
         """Vectorized :meth:`pep_utilization` over per-flow arrays."""
-        shape = 0.72 + 0.28 * _diurnal_shape(hour_local, continent)
-        return np.minimum(0.99, pep_load * shape)
+        return pep_load_at(pep_load, diurnal_shape(hour_local, continent))
 
 
 #: Peak radio / PEP loads per country. Congo is congested on both

@@ -18,7 +18,7 @@ heavy tail).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +61,22 @@ class SatelliteRttModel:
     """Fraction of handshakes that find the CPE idle and must win a
     slotted-Aloha reservation first (most flows arrive on already
     active terminals)."""
+
+    def __post_init__(self) -> None:
+        self._country_terms: Dict[str, Tuple[float, float]] = {}
+
+    def _country_constants(self, country_name: str) -> Tuple[float, float]:
+        """(floor RTT, frame error probability) of a country, computed
+        once: both are pure functions of its location."""
+        terms = self._country_terms.get(country_name)
+        if terms is None:
+            elevation = self.geometry.elevation_angle_deg(COUNTRIES[country_name])
+            terms = (
+                self.floor_rtt_s(country_name),
+                self.channel.frame_error_probability(elevation),
+            )
+            self._country_terms[country_name] = terms
+        return terms
 
     def floor_rtt_s(self, country_name: str) -> float:
         """Propagation + fixed processing floor for a country."""
@@ -144,18 +160,17 @@ class SatelliteRttModel:
         resolved for each flow's beam and local hour, e.g. via
         :meth:`repro.satcom.beams.BeamMap.utilization_bulk`).
         """
-        location = COUNTRIES[country_name]
-        elevation = self.geometry.elevation_angle_deg(location)
+        floor, p_err = self._country_constants(country_name)
         n = len(utilization)
 
-        floor = self.floor_rtt_s(country_name)
         terminal = self.terminal_median_s * rng.lognormal(0.0, self.terminal_sigma, n)
         jitter = self.stack_jitter_median_s * rng.lognormal(0.0, self.stack_jitter_sigma, n)
 
         # TDMA scheduling: alignment + assignment + exponential queueing
         # with a per-flow mean.
         frame = self.tdma.frame_s
-        rho_term = np.minimum(utilization / (1.0 - utilization), self.tdma.max_queue_frames)
+        load_ratio = utilization / (1.0 - utilization)
+        rho_term = np.minimum(load_ratio, self.tdma.max_queue_frames)
         scheduling = (
             rng.uniform(0.0, frame, n)
             + 0.5 * frame
@@ -177,7 +192,6 @@ class SatelliteRttModel:
         )
 
         # ARQ recoveries (scalar error probability per country).
-        p_err = self.channel.frame_error_probability(elevation)
         errors = rng.binomial(6, p_err, n)
         arq = errors * self.channel.arq_rtt_s + np.where(
             errors > 0, rng.uniform(0.0, 2.0 * frame, n) * errors, 0.0
@@ -189,7 +203,7 @@ class SatelliteRttModel:
         pep_setup = pep_median * rng.lognormal(0.0, self.pep.setup_sigma, n)
 
         downlink_queue = rng.exponential(1.0, n) * (
-            0.010 * np.minimum(utilization / (1.0 - utilization), 20.0) + 1e-6
+            0.010 * np.minimum(load_ratio, 20.0) + 1e-6
         )
         return (
             floor + terminal + jitter + scheduling + contention + arq + pep_setup + downlink_queue

@@ -106,14 +106,15 @@ class DelaySource:
         country_name: str,
         utilization: np.ndarray,
         pep_load: np.ndarray,
-        t_s: np.ndarray,
+        t_s: Optional[np.ndarray],
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Vectorized handshake RTTs with per-flow loads *and* times.
 
         The wrapped model's sampler runs first with its historical
         argument sequence (identical RNG stream); the time-varying
-        floor delta is then added draw-free.
+        floor delta is then added draw-free. ``t_s`` may be ``None``
+        when the source is not :attr:`is_time_varying`.
         """
         base = self.rtt_model.sample_handshake_rtt_bulk(
             country_name, utilization, pep_load, rng

@@ -121,14 +121,28 @@ class HistFamily:
             rows, values = rows[finite], values[finite]
             if weights is not None:
                 weights = weights[finite]
-        if len(values) == 0:
+        self.add(rows, self.bin(values), weights)
+
+    def bin(self, values: np.ndarray) -> np.ndarray:
+        """Bin index of each finite float64 value: -1 below the first
+        edge, ``n_bins`` at or above the last. Banks with equal edges
+        share one binning of the same values."""
+        return np.searchsorted(self.edges, values, side="right") - 1
+
+    def add(
+        self,
+        rows: np.ndarray,
+        bin_idx: np.ndarray,
+        weights: Optional[np.ndarray] = None,
+    ) -> None:
+        """Fold values already binned by :meth:`bin` on these edges."""
+        if len(bin_idx) == 0:
             return
-        w = np.ones(len(values)) if weights is None else np.asarray(weights, np.float64)
-        bin_idx = np.searchsorted(self.edges, values, side="right") - 1
-        low = bin_idx < 0
-        high = bin_idx >= self.counts.shape[1]
-        mid = ~(low | high)
+        w = np.ones(len(bin_idx)) if weights is None else np.asarray(weights, np.float64)
         nb = self.counts.shape[1]
+        low = bin_idx < 0
+        high = bin_idx >= nb
+        mid = ~(low | high)
         if mid.any():
             flat = rows[mid].astype(np.int64) * nb + bin_idx[mid]
             self.counts += np.bincount(
@@ -458,10 +472,12 @@ class StreamRollup:
                 c[mask] * 24 + hour[mask], weights=vol[mask], minlength=nc * 24
             ).reshape(nc, 24)
 
-        for idx in np.unique(c):
-            self._customers[int(idx)].update(
-                int(x) for x in np.unique(frame.customer_id[c == idx])
-            )
+        # distinct (country, customer) pairs in one pass; customer ids
+        # are below 1e6 (checked above)
+        pairs = np.unique(c * 1_000_000 + frame.customer_id)
+        countries, first = np.unique(pairs // 1_000_000, return_index=True)
+        for idx, ids in zip(countries.tolist(), np.split(pairs % 1_000_000, first[1:])):
+            self._customers[idx].update(ids.tolist())
 
         self._update_customer_days(frame, c)
         self._update_rtt(frame, c, vol)
@@ -496,37 +512,44 @@ class StreamRollup:
         self.h5_up.update(group_country[active], up[active])
 
     def _update_rtt(self, frame: FlowFrame, c: np.ndarray, vol: np.ndarray) -> None:
+        # Banks over the same values and edges share one binning: the
+        # Figure 8 banks bin satellite RTTs, the Figure 9 banks ground
+        # RTTs, the Figure 11 banks bulk throughput.
         local_hour = local_hour_of(frame)
         has_sat = np.isfinite(frame.sat_rtt_ms)
-        night = (local_hour >= NIGHT_HOURS[0]) & (local_hour < NIGHT_HOURS[1]) & has_sat
-        peak = (local_hour >= PEAK_HOURS[0]) & (local_hour < PEAK_HOURS[1]) & has_sat
-        self.h8_night.update(c[night], frame.sat_rtt_ms[night])
-        self.h8_peak.update(c[peak], frame.sat_rtt_ms[peak])
-        hour_rows = c[has_sat] * 24 + local_hour[has_sat].astype(np.int64) % 24
-        self.h8_hour.update(hour_rows, frame.sat_rtt_ms[has_sat])
-        nc = len(self.countries)
+        sat = frame.sat_rtt_ms[has_sat].astype(np.float64)
+        sat_c = c[has_sat]
+        sat_hour = local_hour[has_sat]
+        sat_bins = self.h8_hour.bin(sat)
+        night = (sat_hour >= NIGHT_HOURS[0]) & (sat_hour < NIGHT_HOURS[1])
+        peak = (sat_hour >= PEAK_HOURS[0]) & (sat_hour < PEAK_HOURS[1])
+        self.h8_night.add(sat_c[night], sat_bins[night])
+        self.h8_peak.add(sat_c[peak], sat_bins[peak])
+        self.h8_hour.add(sat_c * 24 + sat_hour.astype(np.int64) % 24, sat_bins)
         either = night | peak
         if either.any():
-            sat = frame.sat_rtt_ms[either].astype(np.float64)
-            np.minimum.at(self.sat_min_c, c[either], sat)
+            np.minimum.at(self.sat_min_c, sat_c[either], sat[either])
 
         tcp = np.isin(frame.l7_idx, [L7_ORDER.index(p) for p in _TCP_L7])
         ground_ok = tcp & np.isfinite(frame.ground_rtt_ms)
-        rtt = frame.ground_rtt_ms[ground_ok].astype(np.float64)
+        rtt_bins = self.h9_cnt.bin(frame.ground_rtt_ms[ground_ok].astype(np.float64))
         rows = c[ground_ok]
-        self.h9_cnt.update(rows, rtt)
-        self.h9_vol.update(rows, rtt, weights=vol[ground_ok])
+        self.h9_cnt.add(rows, rtt_bins)
+        self.h9_vol.add(rows, rtt_bins, weights=vol[ground_ok])
 
         # Figure 11: bulk-download throughput (Mb/s), overall plus the
         # same night/peak local-hour periods as Figure 8a.
         with np.errstate(divide="ignore", invalid="ignore"):
             mbps = frame.bytes_down * 8.0 / frame.duration_s / 1e6
         bulk = (frame.bytes_down >= BULK_FLOW_MIN_BYTES) & np.isfinite(mbps)
-        night_b = bulk & (local_hour >= NIGHT_HOURS[0]) & (local_hour < NIGHT_HOURS[1])
-        peak_b = bulk & (local_hour >= PEAK_HOURS[0]) & (local_hour < PEAK_HOURS[1])
-        self.h11_all.update(c[bulk], mbps[bulk])
-        self.h11_night.update(c[night_b], mbps[night_b])
-        self.h11_peak.update(c[peak_b], mbps[peak_b])
+        bulk_c = c[bulk]
+        bulk_hour = local_hour[bulk]
+        tput_bins = self.h11_all.bin(mbps[bulk])
+        night = (bulk_hour >= NIGHT_HOURS[0]) & (bulk_hour < NIGHT_HOURS[1])
+        peak = (bulk_hour >= PEAK_HOURS[0]) & (bulk_hour < PEAK_HOURS[1])
+        self.h11_all.add(bulk_c, tput_bins)
+        self.h11_night.add(bulk_c[night], tput_bins[night])
+        self.h11_peak.add(bulk_c[peak], tput_bins[peak])
 
     def _update_services(self, frame: FlowFrame, c: np.ndarray, vol: np.ndarray) -> None:
         """Figures 6/7: classifier-labelled customer-day aggregates.

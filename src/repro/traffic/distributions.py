@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -216,11 +217,15 @@ class Mixture:
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise DistributionError(f"mixture weights must sum to 1, got {sum(self.weights)}")
 
-    def _common_sigma(self) -> Optional[float]:
+    @cached_property
+    def _shared_lognormal(self) -> Optional[Tuple[float, np.ndarray]]:
+        """(sigma, component medians) when every component is a
+        :class:`LogNormal` of one common sigma, else None."""
         if all(isinstance(c, LogNormal) for c in self.components):
             sigmas = {c.sigma for c in self.components}
             if len(sigmas) == 1:
-                return self.components[0].sigma
+                medians = np.array([c.median for c in self.components], dtype=np.float64)
+                return self.components[0].sigma, medians
         return None
 
     def sample(
@@ -237,10 +242,10 @@ class Mixture:
         else:
             idx = np.searchsorted(np.cumsum(self.weights), u, side="right")
             idx = np.minimum(idx, len(self.components) - 1)
-        sigma = self._common_sigma()
-        if sigma is not None:
+        shared = self._shared_lognormal
+        if shared is not None:
+            sigma, medians = shared
             base = rng.lognormal(0.0, sigma, n)
-            medians = np.array([c.median for c in self.components], dtype=np.float64)
             return base * medians[idx]
         draws = np.stack([c.sample(rng, n) for c in self.components])
         return draws[idx, np.arange(n)]
@@ -360,3 +365,25 @@ DAY_FACTOR_BINGE = Mixture(
 #: multiplying by the bare ``rng.lognormal(0, sigma, n)`` draw.
 def unit_lognormal(sigma: float) -> LogNormal:
     return LogNormal(1.0, sigma)
+
+
+def choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative table ``Generator.choice(len(p), p=p)`` searches.
+
+    Built once, it lets a hot loop draw with :func:`choice_from_cdf`
+    instead of paying ``choice``'s per-call validation and cumsum.
+    """
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def choice_from_cdf(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """Indices drawn from a :func:`choice_cdf` table.
+
+    Element for element, and variate for variate, the same as
+    ``rng.choice(len(p), size=n, p=p)``: one uniform per draw, searched
+    in the same normalised cumulative table. ``tests`` pin this against
+    the installed numpy for every table the generator builds.
+    """
+    return cdf.searchsorted(rng.random(n), side="right")

@@ -20,8 +20,10 @@ stay bit-identical for any worker count or day partitioning.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -98,8 +100,11 @@ class VideoSessionModel:
         cfg = self.config
         capacity_bps = max(float(capacity_bps), 1.0)
         chunk_s = cfg.chunk_s
-        n_chunks = min(max(1, int(np.ceil(duration_s / chunk_s))), self.MAX_CHUNKS)
+        max_buffer_s = cfg.max_buffer_s
+        startup_s = cfg.startup_chunks * chunk_s
+        n_chunks = min(max(1, math.ceil(duration_s / chunk_s)), self.MAX_CHUNKS)
         ladder_bps = [rate * 1e6 for rate in cfg.ladder_mbps]
+        ladder_bytes = [rate * chunk_s / 8.0 for rate in ladder_bps]
         shaper = video_session_shaper(cfg.shape_bps)
 
         level = 0
@@ -112,23 +117,25 @@ class VideoSessionModel:
         switches = 0
         level_sum = 0
 
-        sizes = np.empty(n_chunks, dtype=np.float64)
-        times = np.empty(n_chunks, dtype=np.float64)
-        starts = np.empty(n_chunks, dtype=np.float64)
+        # plain lists: a numpy scalar store per chunk costs more than
+        # the whole ABR step
+        sizes: List[float] = []
+        times: List[float] = []
+        starts: List[float] = []
 
-        for i in range(n_chunks):
+        for _ in range(n_chunks):
             # a full buffer pauses fetching; playback drains meanwhile
-            if playing and buffer_s + chunk_s > cfg.max_buffer_s:
-                drain = buffer_s + chunk_s - cfg.max_buffer_s
+            if playing and buffer_s + chunk_s > max_buffer_s:
+                drain = buffer_s + chunk_s - max_buffer_s
                 t += drain
                 played += drain
                 buffer_s -= drain
-            starts[i] = t
-            size = ladder_bps[level] * chunk_s / 8.0
+            starts.append(t)
+            size = ladder_bytes[level]
             delay = shaper.delay_for(size, t) if shaper is not None else 0.0
             dl = size * 8.0 / capacity_bps + delay
-            sizes[i] = size
-            times[i] = dl
+            sizes.append(size)
+            times.append(dl)
             level_sum += level
 
             if playing:
@@ -142,15 +149,13 @@ class VideoSessionModel:
                 stalled += dl
             t += dl
             buffer_s += chunk_s
-            if not playing and buffer_s >= cfg.startup_chunks * chunk_s:
+            if not playing and buffer_s >= startup_s:
                 playing = True
 
             tput = size * 8.0 / dl if dl > 0 else capacity_bps
             estimate += self.ABR_GAIN * (tput - estimate)
-            target = 0
-            for lvl, rate in enumerate(ladder_bps):
-                if rate <= self.ABR_MARGIN * estimate:
-                    target = lvl
+            # the highest rung sustainable at the margin (ladder ascending)
+            target = max(bisect_right(ladder_bps, self.ABR_MARGIN * estimate) - 1, 0)
             if target != level:
                 switches += 1
                 level = target
@@ -158,9 +163,9 @@ class VideoSessionModel:
         played += buffer_s  # the tail of the buffer still plays out
         denom = stalled + played
         return SessionResult(
-            chunk_bytes=sizes,
-            chunk_time_s=times,
-            start_offset_s=starts,
+            chunk_bytes=np.array(sizes, dtype=np.float64),
+            chunk_time_s=np.array(times, dtype=np.float64),
+            start_offset_s=np.array(starts, dtype=np.float64),
             rebuffer_ratio=float(stalled / denom) if denom > 0 else 0.0,
             mean_level=float(level_sum / n_chunks),
             switches=switches,

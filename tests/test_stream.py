@@ -578,7 +578,10 @@ def test_cli_stream_report_without_capture(tmp_path, capsys):
 # with each other; these pin the rollup format itself, so renaming,
 # reshaping, retyping or re-folding any bank fails here even when it
 # does so consistently. The video-streaming capture holds QoE sessions,
-# so the Figure 12 banks are non-zero.
+# so the Figure 12 banks are non-zero. leo-starlink adds the
+# time-varying floor of the constellation delay source;
+# traffic-overrides replaces per-service size and flow-count draws with
+# scenario distributions and reweights two categories.
 DIGEST_PINS = {
     "baseline-geo": (
         ["--customers", "120", "--days", "2", "--seed", "11", "--window-days", "1"],
@@ -592,6 +595,26 @@ DIGEST_PINS = {
         115_409,
         59,
         "0cf509aa67460b294deaaf6373113659d7fcf1d18d5e7306fc2ba50040a23cbd",
+    ),
+    "leo-starlink": (
+        ["--scenario", "leo-starlink", "--customers", "60", "--days", "2",
+         "--seed", "5"],
+        110_063,
+        0,
+        "cdf86fd0e1c0589dfb12cedce938ca39cbf48ef85ebda7aaa52106a46010c160",
+    ),
+    "traffic-overrides": (
+        ["--customers", "60", "--days", "2", "--seed", "8",
+         "--set", "traffic.size_overrides.Netflix=pareto(500000.0,1.3)",
+         "--set", "traffic.size_overrides.GenericWeb=mixture("
+         "0.7*lognormal(20000.0,1.2),0.3*weibull(90000.0,0.8))",
+         "--set", "traffic.flows_overrides.Whatsapp=lognormal(40.0,0.9)",
+         "--set", "traffic.flows_overrides.Youtube=pareto(6.0,2.5)",
+         "--set", "traffic.category_weights.video=1.5",
+         "--set", "traffic.category_weights.chat=0.6"],
+        155_162,
+        0,
+        "46e342eb2db34849af32142e39343ec4cfdf09809ae004e4994ac498fe34d240",
     ),
 }
 

@@ -15,9 +15,14 @@ from repro.traffic.distributions import (
     Mixture,
     Pareto,
     Weibull,
+    choice_cdf,
+    choice_from_cdf,
     parse_spec,
     unit_lognormal,
 )
+from repro.internet.geo import COUNTRIES
+from repro.traffic.profiles import country_profile
+from repro.traffic.services import SERVICES
 from repro.traffic.workload import WorkloadConfig, WorkloadGenerator
 
 #: SHA-256 over the seed schema's 19 columns of the (60 customers,
@@ -132,6 +137,31 @@ def test_mixture_common_sigma_matches_legacy_binge_draws():
     assert np.array_equal(legacy, new)
     # and the streams are left in the same state
     assert legacy_rng.random() == new_rng.random()
+
+
+#: Every choice table the generator builds once instead of per call:
+#: each service's protocol mix and each country's local-hour weights.
+CHOICE_TABLES = {
+    **{f"protocol-{name}": svc.protocol_weights for name, svc in SERVICES.items()},
+    **{f"hours-{name}": country_profile(name).hourly_weights_local for name in COUNTRIES},
+}
+
+
+@pytest.mark.parametrize("table", sorted(CHOICE_TABLES))
+def test_choice_table_draws_equal_generator_choice(table):
+    """The generator draws hours and protocols by searching prebuilt
+    tables. Every capture digest rests on that being, element for
+    element and variate for variate, ``Generator.choice(k, p=p)``; a
+    numpy release that changes ``choice`` fails here, by table name."""
+    p = CHOICE_TABLES[table]
+    cdf = choice_cdf(p)
+    for n in (0, 1, 7, 5000):
+        ours, numpy_rng = np.random.default_rng(n), np.random.default_rng(n)
+        drawn = choice_from_cdf(ours, cdf, n)
+        expected = numpy_rng.choice(len(p), size=n, p=p)
+        assert drawn.dtype == expected.dtype
+        np.testing.assert_array_equal(drawn, expected)
+        assert ours.bit_generator.state == numpy_rng.bit_generator.state
 
 
 def test_unit_lognormal_is_bitwise_identity():

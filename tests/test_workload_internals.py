@@ -23,25 +23,30 @@ def test_domain_pools_cover_every_service(generator):
 
 
 def test_site_precomputation_complete(generator):
-    for name in SERVICES:
-        by_resolver = generator._site_by_resolver[name]
-        assert len(by_resolver) == len(generator.resolvers_pool)
-        assert np.all(by_resolver >= 0)
-        by_country = generator._site_by_country[name]
-        assert set(by_country) == set(generator.countries_pool)
+    n_services = len(SERVICES)
+    by_resolver = generator._site_by_resolver
+    assert by_resolver.shape == (n_services, len(generator.resolvers_pool))
+    assert np.all(by_resolver >= 0)
+    by_country = generator._site_by_country
+    assert by_country.shape == (n_services, len(generator.countries_pool))
+    assert np.all(by_country >= 0)
+
+
+def _service_column(generator, name, n):
+    return np.full(n, generator.services_pool.index(name))
 
 
 def test_select_sites_anycast_ignores_resolver(generator):
-    svc = SERVICES["Netflix"]  # ANYCAST policy
     flow_cust = np.arange(min(50, len(generator.population)))
-    sites = generator._select_sites(svc, "Congo", flow_cust, len(flow_cust))
+    svc = _service_column(generator, "Netflix", len(flow_cust))  # ANYCAST policy
+    congo = generator.countries_pool.index("Congo")
+    sites = generator._select_sites(svc, congo, flow_cust, None)
     assert len(set(sites.tolist())) == 1  # one egress-nearest node for all
 
 
 def test_select_sites_ecs_mixes_locations(generator):
     """Google-resolver customers split between country node and egress
     node; everyone else sticks with the resolver egress."""
-    svc = SERVICES["Youtube"]
     google_idx = generator.resolvers_pool.index("Google")
     google_custs = np.flatnonzero(generator.cust_resolver_idx == google_idx)
     congo_custs = np.flatnonzero(
@@ -51,18 +56,24 @@ def test_select_sites_ecs_mixes_locations(generator):
     if len(custs) == 0:
         pytest.skip("no Congolese Google customers in this draw")
     flows = np.repeat(custs, 40)
-    sites = generator._select_sites(svc, "Congo", flows, len(flows))
+    svc = _service_column(generator, "Youtube", len(flows))
+    coins = np.random.default_rng(0).random(len(flows))
+    congo = generator.countries_pool.index("Congo")
+    sites = generator._select_sites(svc, congo, flows, [coins])
     assert len(set(sites.tolist())) >= 2  # ECS coin flips both ways
 
 
 def test_sample_duration_positive_and_plan_bounded(generator, rng):
-    svc = SERVICES["Netflix"]
     n = 500
+    svc = _service_column(generator, "Netflix", n)
     flow_cust = rng.integers(0, len(generator.population), n)
     bytes_down = rng.lognormal(15, 1, n)
     util = np.full(n, 0.5)
     sat = np.full(n, 700.0)
-    durations = generator._sample_duration(svc, flow_cust, bytes_down, util, sat, "Europe")
+    draws = generator._duration_draws(rng, n, video=True)
+    durations = generator._durations(
+        svc, flow_cust, bytes_down, util, sat, "Europe", draws
+    )
     assert np.all(durations > 0)
     implied = bytes_down * 8 / durations / 1e6
     assert np.all(implied <= generator.cust_plan_down[flow_cust] * 1.01)
@@ -77,9 +88,11 @@ def test_activity_pairs_probability(generator):
 
 
 def test_sample_hours_in_range(generator):
-    from repro.traffic.profiles import country_profile
+    from repro.internet.geo import COUNTRIES, utc_hour
 
-    local, utc = generator._sample_hours(country_profile("Kenya"), 1000)
+    plan = generator._country_plans["Kenya"]
+    local = plan.sample_local_hours(np.random.default_rng(0), 1000)
+    utc = utc_hour(COUNTRIES["Kenya"], local)
     assert np.all((local >= 0) & (local < 24))
     assert np.all((utc >= 0) & (utc < 24))
     # Kenya is east of UTC: local runs ahead
