@@ -79,27 +79,38 @@ def hourly_volume_utc(frame: FlowFrame, country: str, robust: bool = True) -> np
     return totals / peak if peak > 0 else totals
 
 
+def local_hour_offsets(countries: Sequence[str]) -> np.ndarray:
+    """Hours ahead of UTC per country (longitude/15)."""
+    return np.array(
+        [lon_hour_shift(COUNTRIES[name]) for name in countries], dtype=np.float64
+    )
+
+
 def local_hour_of(frame: FlowFrame) -> np.ndarray:
     """Approximate local hour per flow (longitude/15 offset)."""
-    offsets = np.array(
-        [lon_hour_shift(COUNTRIES[name]) for name in frame.countries],
-        dtype=np.float64,
-    )
+    offsets = local_hour_offsets(frame.countries)
     return (frame.hour_utc + offsets[frame.country_idx]) % 24.0
 
 
 _TABLE2_PATTERNS = [re.compile(p) for p in TABLE2_DOMAIN_GROUPS.values()]
 
 
-def table2_group_of_flows(frame: FlowFrame) -> np.ndarray:
-    """Per flow, the index of its first matching Table 2 domain group
-    (:data:`~repro.analysis.domains.TABLE2_DOMAIN_GROUPS` order), else -1."""
-    pool_group = np.full(len(frame.domains), -1, dtype=np.int16)
-    for d_idx, domain in enumerate(frame.domains):
+def table2_group_of_domains(domains: Sequence[str]) -> np.ndarray:
+    """Per pool domain, the index of its first matching Table 2 domain
+    group (:data:`~repro.analysis.domains.TABLE2_DOMAIN_GROUPS` order),
+    else -1."""
+    pool_group = np.full(len(domains), -1, dtype=np.int16)
+    for d_idx, domain in enumerate(domains):
         for g_idx, pattern in enumerate(_TABLE2_PATTERNS):
             if pattern.search(domain):
                 pool_group[d_idx] = g_idx
                 break
+    return pool_group
+
+
+def table2_group_of_flows(frame: FlowFrame) -> np.ndarray:
+    """Per flow, its :func:`table2_group_of_domains` index, else -1."""
+    pool_group = table2_group_of_domains(frame.domains)
     flow_group = np.full(len(frame), -1, dtype=np.int16)
     has_domain = frame.domain_idx >= 0
     flow_group[has_domain] = pool_group[frame.domain_idx[has_domain]]

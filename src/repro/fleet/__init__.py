@@ -34,6 +34,7 @@ from repro.fleet.coordinator import (
 )
 from repro.fleet.merge import (
     MERGE_TREE_SHAPES,
+    MergeStats,
     MergeNode,
     merge_partition_captures,
     plan_merge_tree,
@@ -55,6 +56,7 @@ __all__ = [
     "FLEET_TELEMETRY",
     "MERGED_ROLLUP",
     "MERGE_TREE_SHAPES",
+    "MergeStats",
     "FleetPlan",
     "FleetResult",
     "MergeNode",

@@ -51,6 +51,7 @@ from repro.faults import (
 )
 from repro.fleet.merge import (
     MERGE_TREE_SHAPES,
+    MergeStats,
     merge_partition_captures,
     plan_merge_tree,
 )
@@ -149,6 +150,7 @@ def _write_manifest(
     merge_tree: str,
     injector: FaultInjector,
     merged_digest: str = "",
+    merge: Optional[Dict] = None,
 ) -> None:
     payload = {
         "schema": FLEET_SCHEMA,
@@ -160,6 +162,8 @@ def _write_manifest(
         "n_windows": plan.n_windows,
         "merge_tree": merge_tree,
         "merged_digest": merged_digest,
+        # the merge's time split (MergeStats), once a merge has run
+        "merge": merge or {},
         "partitions": [
             {
                 **state.to_payload(),
@@ -526,7 +530,7 @@ def run_fleet_capture(
             rows = fleet_telemetry_rows(plan, states, fleet_dir)
             _write_manifest(
                 fleet_dir, plan, states, "complete", merge_tree, injector,
-                merged_digest=rollup.state_digest(),
+                merged_digest=rollup.state_digest(), merge=manifest.get("merge"),
             )
             return FleetResult(
                 fleet_dir=fleet_dir,
@@ -574,10 +578,13 @@ def run_fleet_capture(
     injector.kill_point("fleet:merge")
     tree = plan_merge_tree(plan.n_partitions, merge_tree, seed=merge_seed)
     emit(f"merging {plan.n_partitions} partitions: {tree.shape()}")
+    merge_stats = MergeStats()
     rollup = merge_partition_captures(
         [partition_dir(fleet_dir, spec) for spec in plan.partitions],
         tree=tree,
+        stats=merge_stats,
     )
+    emit(merge_stats.describe())
     rollup.save(merged_path, injector=injector)
     digest = rollup.state_digest()
     if publisher is not None:
@@ -591,7 +598,7 @@ def run_fleet_capture(
     )
     _write_manifest(
         fleet_dir, plan, states, "complete", merge_tree, injector,
-        merged_digest=digest,
+        merged_digest=digest, merge=merge_stats.to_payload(),
     )
     injector.kill_point("fleet:done")
     return FleetResult(

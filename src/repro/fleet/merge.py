@@ -26,9 +26,10 @@ contract :func:`~repro.stream.producer._recover_rollup` relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -111,6 +112,31 @@ def plan_merge_tree(
     )
 
 
+@dataclass
+class MergeStats:
+    """Where a merge's time went, filled in by
+    :func:`merge_partition_captures`: ``assemble_s`` reads each window's
+    partition frames and concatenates them, ``fold_s`` folds the result
+    into the merged rollup; ``seconds`` is the whole merge, partition
+    verification included."""
+
+    seconds: float = 0.0
+    assemble_s: float = 0.0
+    fold_s: float = 0.0
+    windows: int = 0
+    flows: int = 0
+
+    def to_payload(self) -> Dict[str, float]:
+        return asdict(self)
+
+    def describe(self) -> str:
+        return (
+            f"merged {self.flows:,} flows in {self.windows} windows in "
+            f"{self.seconds:.2f} s: assembly {self.assemble_s:.2f} s, "
+            f"fold {self.fold_s:.2f} s"
+        )
+
+
 def _assemble(
     node: MergeNode, stores: Sequence[FlowStore], window_index: int
 ) -> FlowFrame:
@@ -130,6 +156,7 @@ def merge_partition_captures(
     tree: Optional[MergeNode] = None,
     verify: bool = True,
     on_window: Optional[Callable[[int, int], None]] = None,
+    stats: Optional[MergeStats] = None,
 ) -> StreamRollup:
     """Merge completed partition capture directories into one rollup.
 
@@ -138,7 +165,8 @@ def merge_partition_captures(
     ``verify=True`` every partition's saved rollup state is re-checked
     against its checkpoint digest first, so a torn partition artifact
     is diagnosed here instead of corrupting the merge. ``on_window``
-    observes ``(window_index, flows)`` as each window folds.
+    observes ``(window_index, flows)`` as each window folds; ``stats``,
+    if given, receives the merge's time split.
 
     The result's ``state_digest()`` equals the single-process
     ``repro stream`` digest of the same scenario — the fleet acceptance
@@ -146,6 +174,8 @@ def merge_partition_captures(
     """
     if not directories:
         raise ValueError("need at least one partition directory")
+    stats = MergeStats() if stats is None else stats
+    start = time.perf_counter()
     if tree is None:
         tree = plan_merge_tree(len(directories))
     leaves = tree.leaves()
@@ -187,9 +217,16 @@ def merge_partition_captures(
         pools["countries"], pools["services"], pools["resolvers"]
     )
     for entry in entries:
+        t0 = time.perf_counter()
         frame = _assemble(tree, stores, entry.index)
+        t1 = time.perf_counter()
         rollup.update(frame)
+        stats.assemble_s += t1 - t0
+        stats.fold_s += time.perf_counter() - t1
+        stats.windows += 1
+        stats.flows += len(frame)
         if on_window is not None:
             on_window(entry.index, len(frame))
         del frame
+    stats.seconds = time.perf_counter() - start
     return rollup

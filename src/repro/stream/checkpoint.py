@@ -67,20 +67,25 @@ class WindowTelemetry:
     """Satellite handovers the window's time span crossed (always zero
     for static delay sources; defaults so pre-constellation
     checkpoints keep loading)."""
+    save_seconds: float = 0.0
+    """Time writing the rollup state and its fsync, split out of
+    ``fold_seconds`` (which covers ``rollup.update`` only); defaults to
+    zero so checkpoints written before the split keep loading."""
 
     @property
     def flows_per_s(self) -> float:
-        busy = self.gen_seconds + self.spill_seconds + self.fold_seconds
+        busy = self.busy_seconds
         return self.flows / busy if busy > 0 else float("nan")
 
     @property
     def busy_seconds(self) -> float:
-        """Total stage time of this window (gen + spill + fold).
+        """Total stage time of this window (gen + spill + fold + save).
 
         Under the pipelined producer the stages of *different* windows
         overlap, so the capture's wall clock is less than the sum of
         these — that gap is the pipelining win."""
-        return self.gen_seconds + self.spill_seconds + self.fold_seconds
+        return (self.gen_seconds + self.spill_seconds
+                + self.fold_seconds + self.save_seconds)
 
 
 @dataclass

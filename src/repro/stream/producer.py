@@ -354,9 +354,10 @@ class _WindowCommitter:
         injector.kill_point(f"stream:w{window.index}:spilled")
         t2 = time.perf_counter()
         self.rollup.update(frame)
+        t3 = time.perf_counter()
         self.rollup.save(rollup_path(self.capture_dir), injector=injector)
         injector.kill_point(f"stream:w{window.index}:rollup-saved")
-        t3 = time.perf_counter()
+        t4 = time.perf_counter()
         window_stats = injector.stats.delta(self._before)
         self._before = injector.stats.copy()
         # A pure function of the window's day span (and the scenario's
@@ -376,6 +377,7 @@ class _WindowCommitter:
             gen_seconds=gen_seconds,
             spill_seconds=t2 - t1,
             fold_seconds=t3 - t2,
+            save_seconds=t4 - t3,
             bytes_spilled=spilled,
             peak_rss_mb=peak_rss_mb(),
             faults=window_stats.faults,

@@ -40,6 +40,7 @@ updates.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -52,8 +53,8 @@ import numpy as np
 
 from repro.analysis.aggregate import (
     fold_video_sessions,
-    local_hour_of,
-    table2_group_of_flows,
+    local_hour_offsets,
+    table2_group_of_domains,
 )
 from repro.analysis.source import CaptureError
 from repro.faults import FaultInjector, atomic_write_bytes
@@ -77,12 +78,65 @@ from repro.traffic.services import ServiceCategory
 ROLLUP_SCHEMA = 4
 
 _TCP_L7 = (L7Protocol.HTTPS, L7Protocol.HTTP, L7Protocol.OTHER_TCP)
+#: The l7 indices of TCP, whose handshake RTT Figure 9 counts.
+_TCP_IDX = [L7_ORDER.index(p) for p in _TCP_L7]
+#: The Figure 8a/11 periods as slices of whole local hours: with integer
+#: bounds, ``lo <= hour < hi`` holds for a float hour iff for its floor.
+_NIGHT = slice(int(NIGHT_HOURS[0]), int(NIGHT_HOURS[1]))
+_PEAK = slice(int(PEAK_HOURS[0]), int(PEAK_HOURS[1]))
+assert (_NIGHT.start, _NIGHT.stop, _PEAK.start, _PEAK.stop) == NIGHT_HOURS + PEAK_HOURS
+_IN_PERIOD = np.zeros(25, dtype=bool)
+_IN_PERIOD[_NIGHT] = _IN_PERIOD[_PEAK] = True
 
 
 def _decade_edges(lo_exp: int, hi_exp: int, per_decade: int = 12) -> np.ndarray:
     """Log-spaced bin edges with exact values at every decade."""
     return 10.0 ** (
         np.arange(0, (hi_exp - lo_exp) * per_decade + 1) / per_decade + lo_exp
+    )
+
+
+#: How far below its exact position a value's bin guess is pushed: far
+#: above the float error of the guess (~1e-13 bins) and of the edges
+#: (at most a tenth of it, checked), far below one bin.
+_GUESS_SLACK = 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _bin_guess(edge_bytes: bytes) -> Optional[Tuple[bool, float, float]]:
+    """``(log, scale, shift)`` if the float64 edges are evenly spaced
+    on a linear or a log10 axis, else None. For ``x`` clipped to the
+    edges, ``int(axis(x) * scale + shift)`` is its bin plus one, or its
+    bin when ``x`` lies within the slack above a bin's lower edge."""
+    edges = np.frombuffer(edge_bytes)
+    n_bins = len(edges) - 1
+    for log in (False, True):
+        if log and edges[0] <= 0:
+            continue
+        axis = np.log10(edges) if log else edges
+        scale = n_bins / (axis[-1] - axis[0])
+        drift = (axis - axis[0]) * scale - np.arange(n_bins + 1)
+        if np.abs(drift).max() <= _GUESS_SLACK / 10:
+            return log, scale, 1.0 - _GUESS_SLACK - axis[0] * scale
+    return None
+
+
+def _tally(
+    rows: np.ndarray,
+    bin_idx: np.ndarray,
+    n_rows: int,
+    n_bins: int,
+    weights: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``(n_rows, n_bins + 2)`` totals per (row, bin), underflow in the
+    first column and overflow in the last, from one ``bincount``: each
+    cell adds its weights in input order starting from 0.0, and counts
+    exactly when unweighted."""
+    cells = np.asarray(rows, dtype=np.intp) * (n_bins + 2)
+    cells += bin_idx
+    cells += 1
+    return np.bincount(cells, weights, minlength=n_rows * (n_bins + 2)).reshape(
+        n_rows, n_bins + 2
     )
 
 
@@ -103,6 +157,10 @@ class HistFamily:
         self.counts = np.zeros((n_rows, len(self.edges) - 1), dtype=np.float64)
         self.under = np.zeros(n_rows, dtype=np.float64)
         self.over = np.zeros(n_rows, dtype=np.float64)
+        self._guess = _bin_guess(self.edges.tobytes())
+        if self._guess is None:
+            raise ValueError("edges must be evenly spaced on a linear or log10 axis")
+        self._bounds = np.append(self.edges, np.inf)
 
     @property
     def n_rows(self) -> int:
@@ -121,37 +179,37 @@ class HistFamily:
             rows, values = rows[finite], values[finite]
             if weights is not None:
                 weights = weights[finite]
-        self.add(rows, self.bin(values), weights)
+        n_bins = self.counts.shape[1]
+        self.add_table(_tally(rows, self.bin(values), self.n_rows, n_bins, weights))
 
     def bin(self, values: np.ndarray) -> np.ndarray:
         """Bin index of each finite float64 value: -1 below the first
-        edge, ``n_bins`` at or above the last. Banks with equal edges
-        share one binning of the same values."""
-        return np.searchsorted(self.edges, values, side="right") - 1
+        edge, ``n_bins`` at or above the last — exactly
+        ``searchsorted(edges, values, side="right") - 1``. Banks with
+        equal edges share one binning of the same values.
 
-    def add(
-        self,
-        rows: np.ndarray,
-        bin_idx: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-    ) -> None:
-        """Fold values already binned by :meth:`bin` on these edges."""
-        if len(bin_idx) == 0:
-            return
-        w = np.ones(len(bin_idx)) if weights is None else np.asarray(weights, np.float64)
-        nb = self.counts.shape[1]
-        low = bin_idx < 0
-        high = bin_idx >= nb
-        mid = ~(low | high)
-        if mid.any():
-            flat = rows[mid].astype(np.int64) * nb + bin_idx[mid]
-            self.counts += np.bincount(
-                flat, weights=w[mid], minlength=self.n_rows * nb
-            ).reshape(self.n_rows, nb)
-        if low.any():
-            self.under += np.bincount(rows[low], weights=w[low], minlength=self.n_rows)
-        if high.any():
-            self.over += np.bincount(rows[high], weights=w[high], minlength=self.n_rows)
+        The arithmetic guess is the bin or the one below it; one
+        comparison against the stored lower edge of the bin above
+        settles which."""
+        log, scale, shift = self._guess
+        guess = np.clip(values, self.edges[0], self.edges[-1], dtype=np.float64)
+        if log:
+            np.log10(guess, out=guess)
+        guess *= scale
+        guess += shift
+        idx = guess.astype(np.intp)  # bin + 1, or bin near a lower edge
+        del guess
+        above = values >= self._bounds[idx]
+        idx -= 1
+        idx += above
+        return idx
+
+    def add_table(self, table: np.ndarray) -> None:
+        """Fold a ``(n_rows, n_bins + 2)`` table from :func:`_tally` of
+        values binned by :meth:`bin` on these edges."""
+        self.counts += table[:, 1:-1]
+        self.under += table[:, 0]
+        self.over += table[:, -1]
 
     def merge(self, other: "HistFamily") -> None:
         if self.counts.shape != other.counts.shape or not np.array_equal(
@@ -169,6 +227,7 @@ class HistFamily:
         other.counts = self.counts.copy()
         other.under = self.under.copy()
         other.over = self.over.copy()
+        other._guess, other._bounds = self._guess, self._bounds
         return other
 
     # -- queries -------------------------------------------------------
@@ -217,8 +276,44 @@ class HistFamily:
         return np.array([self.quantile(row, q) for q in qs])
 
 
+def _hourly(
+    major: np.ndarray,
+    shape: Tuple[int, int],
+    minor: np.ndarray,
+    hour: np.ndarray,
+    vol: np.ndarray,
+) -> np.ndarray:
+    """Volume per (major, minor, hour) cell, as a ``(*shape, 24)`` array."""
+    flat = major * shape[1]
+    flat += minor
+    flat *= 24
+    flat += hour
+    size = shape[0] * shape[1] * 24
+    return np.bincount(flat, vol, minlength=size).reshape(*shape, 24)
+
+
+@dataclass(frozen=True, eq=False)
+class _PoolTables:
+    """Lookups the fold gathers through, built once per domain pool."""
+
+    domains: List[str]
+    label: np.ndarray  # domain -> classifier service, -1 unmatched
+    t2_group: np.ndarray  # domain -> Table 2 domain group, -1 none
+    category: np.ndarray  # classifier service -> Figure 7 category, -1
+    hour_offset: np.ndarray  # country -> local-hour shift
+
+
 _Dims = Mapping[str, int]
 _State = Mapping[str, np.ndarray]
+
+
+def _sha256(arrays: _State, prefix: bytes = b"") -> str:
+    """SHA-256 over ``prefix``, then each array's name and bytes by name."""
+    digest = hashlib.sha256(prefix)
+    for name, array in sorted(arrays.items()):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
 
 
 def _restore(data: _State, key: str, shape: Tuple[int, ...]) -> np.ndarray:
@@ -391,6 +486,7 @@ class StreamRollup:
         self._customers: List[set] = [set() for _ in self.countries]
         self.vol_day: Dict[int, np.ndarray] = {}
         self._t2: Dict[int, np.ndarray] = {}
+        self._tables: Optional[_PoolTables] = None
 
     def _dims(self) -> Dict[str, int]:
         """The axis lengths the :attr:`BANKS` shapes are declared over."""
@@ -432,180 +528,211 @@ class StreamRollup:
 
         The chunk must contain *all* flows of every (customer, day)
         pair it touches — true for whole windows and for single-shard
-        windows, since a customer lives in exactly one shard.
+        windows, since a customer lives in exactly one shard. Nothing
+        is sorted: every grouping is a ``bincount`` or a mark over dense
+        (customer, day) cells; DESIGN §8 states the fold contract.
         """
         self.windows_folded += 1
         if frame is None or len(frame) == 0:
             return self
         if not self._same_pools(frame):
             raise ValueError("frame pools do not match this rollup")
-        if frame.customer_id.max() >= 1_000_000:
-            raise ValueError("rollup keys assume customer ids below 1e6")
+        cust = frame.customer_id
+        if cust.min() < 0 or cust.max() >= 1_000_000:
+            raise ValueError("rollup keys assume customer ids in [0, 1e6)")
+        tables = self._pool_tables(frame.domains)
         nc = len(self.countries)
-        c = frame.country_idx.astype(np.int64)
-        hour = frame.hour_utc.astype(np.int64) % 24
+        # Per-flow indices are intp: numpy gathers and counts through
+        # anything narrower by converting it first, on every call.
+        c = frame.country_idx.astype(np.intp)
+        hour = frame.hour_utc.astype(np.intp)
+        np.remainder(hour, 24, out=hour, where=(hour < 0) | (hour >= 24))
         vol = frame.bytes_total()
         self.flows_total += len(frame)
         self.bytes_up_c += np.bincount(c, weights=frame.bytes_up, minlength=nc)
         self.bytes_down_c += np.bincount(c, weights=frame.bytes_down, minlength=nc)
-        self.flows_c += np.bincount(c, minlength=nc).astype(np.int64)
+        self.flows_c += np.bincount(c, minlength=nc)
 
-        nl = len(L7_ORDER)
-        flat_l7 = (c * nl + frame.l7_idx.astype(np.int64)) * 24 + hour
-        self.vol_clh += np.bincount(
-            flat_l7, weights=vol, minlength=nc * nl * 24
-        ).reshape(nc, nl, 24)
+        nl, ns1 = len(L7_ORDER), len(self.services) + 1
+        self.vol_clh += _hourly(c, (nc, nl), frame.l7_idx, hour, vol)
+        self.vol_csh += _hourly(c, (nc, ns1), frame.service_true_idx + 1, hour, vol)
 
-        ns1 = len(self.services) + 1
-        svc = frame.service_true_idx.astype(np.int64) + 1
-        flat_svc = (c * ns1 + svc) * 24 + hour
-        self.vol_csh += np.bincount(
-            flat_svc, weights=vol, minlength=nc * ns1 * 24
-        ).reshape(nc, ns1, 24)
+        # Dense cells: each customer's rank among the window's ids (a
+        # presence table, ids < 1e6) and its (customer, day) cell.
+        cust = cust.astype(np.intp)
+        present = np.zeros(int(cust.max()) + 1, dtype=bool)
+        present[cust] = True
+        ids = np.flatnonzero(present)
+        cell = (np.cumsum(present, dtype=np.intp) - 1)[cust]  # the rank
+        del present, cust
+        cust_country = np.zeros(len(ids), dtype=np.intp)
+        cust_country[cell] = c
+        if not np.array_equal(cust_country[cell], c):
+            raise ValueError("rollup keys assume one country per customer")
+        for k in np.unique(cust_country).tolist():
+            self._customers[k].update(ids[cust_country == k].tolist())
+        day0 = int(frame.day.min())
+        n_days = int(frame.day.max()) - day0 + 1
+        day = frame.day.astype(np.intp)
+        day -= day0
+        cell *= n_days
+        cell += day
+        cell_flows = np.bincount(cell, minlength=len(ids) * n_days)
+        cell_country = np.repeat(cust_country, n_days)
 
-        for day in np.unique(frame.day):
-            mask = frame.day == day
-            matrix = self.vol_day.setdefault(
-                int(day), np.zeros((nc, 24), dtype=np.float64)
-            )
-            matrix += np.bincount(
-                c[mask] * 24 + hour[mask], weights=vol[mask], minlength=nc * 24
-            ).reshape(nc, 24)
+        by_day = _hourly(day, (n_days, nc), c, hour, vol)
+        del day, hour
+        for d in np.flatnonzero(cell_flows.reshape(-1, n_days).any(axis=0)).tolist():
+            matrix = self.vol_day.setdefault(day0 + d, np.zeros((nc, 24)))
+            matrix += by_day[d]
 
-        # distinct (country, customer) pairs in one pass; customer ids
-        # are below 1e6 (checked above)
-        pairs = np.unique(c * 1_000_000 + frame.customer_id)
-        countries, first = np.unique(pairs // 1_000_000, return_index=True)
-        for idx, ids in zip(countries.tolist(), np.split(pairs % 1_000_000, first[1:])):
-            self._customers[idx].update(ids.tolist())
-
-        self._update_customer_days(frame, c)
-        self._update_rtt(frame, c, vol)
-        self._update_services(frame, c, vol)
-        self._update_dns(frame, c)
+        domain = frame.domain_idx.astype(np.intp)
+        label, group = tables.label[domain], tables.t2_group[domain]
+        del domain
+        self._fold_customer_days(frame, cell, cell_flows, cell_country)
+        self._fold_services(label, tables.category, cell, cell_country, vol)
+        del label, cell_flows
+        self._fold_dns(frame, group, c, cell, n_days, ids)
+        del cell, group
+        self._fold_rtt(frame, tables.hour_offset, c, vol)
         self._update_qoe(frame)
         return self
 
-    def _update_customer_days(self, frame: FlowFrame, c: np.ndarray) -> None:
-        # One sort pass: group by (customer, day), each group belongs
-        # to one country (a customer has one country).
-        combined = frame.customer_id.astype(np.int64) * 100_000 + frame.day.astype(
-            np.int64
-        )
-        order = np.argsort(combined, kind="stable")
-        combined = combined[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(combined)) + 1))
-        flows = np.diff(np.concatenate((starts, [len(combined)]))).astype(np.float64)
-        down = np.add.reduceat(frame.bytes_down[order], starts)
-        up = np.add.reduceat(frame.bytes_up[order], starts)
-        group_country = c[order][starts]
+    def _pool_tables(self, domains: List[str]) -> "_PoolTables":
+        """The fold's lookup tables, rebuilt only when the domain pool
+        changes (it is the same for every window of a capture)."""
+        if self._tables is None or self._tables.domains != domains:
+            labels, names = self._classifier.classify_pool(domains)
+            if names != self.classifier_services:
+                raise ValueError("classifier rules changed under a live rollup")
+            fig7 = [r.category for r in self._classifier.rules]
+            self._tables = _PoolTables(
+                list(domains),
+                # the trailing -1 is what domain index -1 (no domain) reads
+                np.append(labels, np.int16(-1)),
+                np.append(table2_group_of_domains(domains), np.int16(-1)),
+                np.array([FIG7_CATEGORIES.index(k) if k in FIG7_CATEGORIES else -1
+                          for k in fig7]),
+                local_hour_offsets(self.countries),
+            )
+        return self._tables
 
-        nc = len(self.countries)
-        self.cd_total_c += np.bincount(group_country, minlength=nc).astype(np.int64)
+    def _fold_customer_days(
+        self,
+        frame: FlowFrame,
+        cell: np.ndarray,
+        cell_flows: np.ndarray,
+        cell_country: np.ndarray,
+    ) -> None:
+        """Figure 5: flow and byte totals per (customer, day) cell."""
+        nc, n_cells = len(self.countries), len(cell_country)
+        down = np.bincount(cell, frame.bytes_down, minlength=n_cells)
+        up = np.bincount(cell, frame.bytes_up, minlength=n_cells)
+        seen = np.flatnonzero(cell_flows)
+        flows, rows = cell_flows[seen], cell_country[seen]
+        self.cd_total_c += np.bincount(rows, minlength=nc)
         idle = flows < ACTIVE_CUSTOMER_FLOW_THRESHOLD
-        self.cd_idle_c += np.bincount(
-            group_country[idle], minlength=nc
-        ).astype(np.int64)
-        self.h5_flows.update(group_country, flows)
-        active = ~idle
-        self.h5_down.update(group_country[active], down[active])
-        self.h5_up.update(group_country[active], up[active])
+        self.cd_idle_c += np.bincount(rows[idle], minlength=nc)
+        self.h5_flows.update(rows, flows)
+        active = seen[~idle]
+        self.h5_down.update(cell_country[active], down[active])
+        self.h5_up.update(cell_country[active], up[active])
 
-    def _update_rtt(self, frame: FlowFrame, c: np.ndarray, vol: np.ndarray) -> None:
-        # Banks over the same values and edges share one binning: the
-        # Figure 8 banks bin satellite RTTs, the Figure 9 banks ground
-        # RTTs, the Figure 11 banks bulk throughput.
-        local_hour = local_hour_of(frame)
-        has_sat = np.isfinite(frame.sat_rtt_ms)
-        sat = frame.sat_rtt_ms[has_sat].astype(np.float64)
-        sat_c = c[has_sat]
-        sat_hour = local_hour[has_sat]
+    def _fold_rtt(
+        self, frame: FlowFrame, hour_offset: np.ndarray, c: np.ndarray, vol: np.ndarray
+    ) -> None:
+        """Figures 8, 9 and 11. Banks over the same values and edges
+        share one binning, and the all, night, peak and per-hour banks
+        are sums over one count table per (country, local hour, bin)."""
+        nc = len(self.countries)
+        local = frame.hour_utc.astype(np.float64)  # local_hour_of, in place
+        local += hour_offset[c]
+        np.remainder(local, 24.0, out=local, where=(local < 0) | (local >= 24))
+        # Row country * 25 + hour: % 24.0 rounds a tiny negative sum up
+        # to hour 24, which no period holds and h8_hour files as hour 0.
+        hour_row = local.astype(np.intp)
+        del local
+        hour_row += c * 25
+
+        sat = frame.sat_rtt_ms
+        has = np.flatnonzero(np.isfinite(sat))
+        sat = sat[has].astype(np.float64)
+        sat_row = hour_row[has]
         sat_bins = self.h8_hour.bin(sat)
-        night = (sat_hour >= NIGHT_HOURS[0]) & (sat_hour < NIGHT_HOURS[1])
-        peak = (sat_hour >= PEAK_HOURS[0]) & (sat_hour < PEAK_HOURS[1])
-        self.h8_night.add(sat_c[night], sat_bins[night])
-        self.h8_peak.add(sat_c[peak], sat_bins[peak])
-        self.h8_hour.add(sat_c * 24 + sat_hour.astype(np.int64) % 24, sat_bins)
-        either = night | peak
-        if either.any():
-            np.minimum.at(self.sat_min_c, sat_c[either], sat[either])
+        table = _tally(sat_row, sat_bins, nc * 25, len(self.SAT_EDGES) - 1)
+        table = table.reshape(nc, 25, -1)
+        self.h8_night.add_table(table[:, _NIGHT].sum(axis=1))
+        self.h8_peak.add_table(table[:, _PEAK].sum(axis=1))
+        inp = _IN_PERIOD[sat_row % 25]
+        np.minimum.at(self.sat_min_c, sat_row[inp] // 25, sat[inp])
+        table[:, 0] += table[:, 24]
+        self.h8_hour.add_table(table[:, :24].reshape(nc * 24, -1))
+        del has, sat, sat_row, sat_bins, inp
 
-        tcp = np.isin(frame.l7_idx, [L7_ORDER.index(p) for p in _TCP_L7])
-        ground_ok = tcp & np.isfinite(frame.ground_rtt_ms)
-        rtt_bins = self.h9_cnt.bin(frame.ground_rtt_ms[ground_ok].astype(np.float64))
-        rows = c[ground_ok]
-        self.h9_cnt.add(rows, rtt_bins)
-        self.h9_vol.add(rows, rtt_bins, weights=vol[ground_ok])
+        ground = frame.ground_rtt_ms
+        tcp = np.logical_or.reduce([frame.l7_idx == i for i in _TCP_IDX])
+        ok = np.flatnonzero(tcp & np.isfinite(ground))
+        rows, rtt_bins = c[ok], self.h9_cnt.bin(ground[ok])
+        n_bins = len(self.GROUND_EDGES) - 1
+        self.h9_cnt.add_table(_tally(rows, rtt_bins, nc, n_bins))
+        self.h9_vol.add_table(_tally(rows, rtt_bins, nc, n_bins, vol[ok]))
+        del ok, rows, rtt_bins
 
         # Figure 11: bulk-download throughput (Mb/s), overall plus the
         # same night/peak local-hour periods as Figure 8a.
+        bulk = np.flatnonzero(frame.bytes_down >= BULK_FLOW_MIN_BYTES)
         with np.errstate(divide="ignore", invalid="ignore"):
-            mbps = frame.bytes_down * 8.0 / frame.duration_s / 1e6
-        bulk = (frame.bytes_down >= BULK_FLOW_MIN_BYTES) & np.isfinite(mbps)
-        bulk_c = c[bulk]
-        bulk_hour = local_hour[bulk]
-        tput_bins = self.h11_all.bin(mbps[bulk])
-        night = (bulk_hour >= NIGHT_HOURS[0]) & (bulk_hour < NIGHT_HOURS[1])
-        peak = (bulk_hour >= PEAK_HOURS[0]) & (bulk_hour < PEAK_HOURS[1])
-        self.h11_all.add(bulk_c, tput_bins)
-        self.h11_night.add(bulk_c[night], tput_bins[night])
-        self.h11_peak.add(bulk_c[peak], tput_bins[peak])
+            mbps = frame.bytes_down[bulk] * 8.0 / frame.duration_s[bulk] / 1e6
+        ok = np.isfinite(mbps)
+        tput_bins = self.h11_all.bin(mbps[ok])
+        table = _tally(hour_row[bulk[ok]], tput_bins, nc * 25, len(self.TPUT_EDGES) - 1)
+        table = table.reshape(nc, 25, -1)
+        self.h11_all.add_table(table.sum(axis=1))
+        self.h11_night.add_table(table[:, _NIGHT].sum(axis=1))
+        self.h11_peak.add_table(table[:, _PEAK].sum(axis=1))
 
-    def _update_services(self, frame: FlowFrame, c: np.ndarray, vol: np.ndarray) -> None:
+    def _fold_services(
+        self,
+        label: np.ndarray,
+        category: np.ndarray,
+        cell: np.ndarray,
+        cell_country: np.ndarray,
+        vol: np.ndarray,
+    ) -> None:
         """Figures 6/7: classifier-labelled customer-day aggregates.
 
-        Labels come from the Table 3 regexes over the window's domain
-        pool (memoized — the pool is identical across windows), *not*
-        from the generator's ground truth, mirroring the frame paths.
+        ``label`` is each flow's service by the Table 3 regexes over the
+        window's domain pool, *not* the generator's ground truth,
+        mirroring the frame paths.
         """
-        pool_labels, names = self._classifier.classify_pool(frame.domains)
-        if names != self.classifier_services:
-            raise ValueError("classifier rules changed under a live rollup")
-        labels = np.full(len(frame), -1, dtype=np.int16)
-        has_domain = frame.domain_idx >= 0
-        labels[has_domain] = pool_labels[frame.domain_idx[has_domain]]
-        matched = labels >= 0
-        if not matched.any():
+        matched = np.flatnonzero(label >= 0)
+        if len(matched) == 0:
             return
-        nc = len(self.countries)
-        lab = labels[matched].astype(np.int64)
-        cust = frame.customer_id[matched].astype(np.int64)
-        day = frame.day[matched].astype(np.int64)
-        cc = c[matched]
+        nc, n_cells = len(self.countries), len(cell_country)
+        n_svc = len(self.classifier_services)
+        label, cell = label[matched], cell[matched]
 
         # Figure 6: distinct customers per (country, service, day),
-        # summed over days — group by (service, customer, day).
-        combined = (lab * 1_000_000 + cust) * 100_000 + day
-        order = np.argsort(combined, kind="stable")
-        starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(combined[order])) + 1)
-        )
-        g_country = cc[order][starts]
-        g_svc = lab[order][starts]
-        n_svc = len(self.classifier_services)
+        # summed over days — mark the (cell, service) pairs.
+        seen = np.zeros(n_cells * n_svc, dtype=bool)
+        seen[cell * n_svc + label] = True
+        pairs = np.flatnonzero(seen)
         self.svc_cust_days += np.bincount(
-            g_country.astype(np.int64) * n_svc + g_svc, minlength=nc * n_svc
-        ).reshape(nc, n_svc).astype(np.int64)
+            cell_country[pairs // n_svc] * n_svc + pairs % n_svc, minlength=nc * n_svc
+        ).reshape(nc, n_svc)
 
         # Figure 7: customer-day volume per category.
-        cat_of_label = np.full(n_svc, -1, dtype=np.int64)
-        for i, rule in enumerate(self._classifier.rules):
-            if rule.category in FIG7_CATEGORIES:
-                cat_of_label[i] = FIG7_CATEGORIES.index(rule.category)
-        cat = cat_of_label[lab]
-        has_cat = cat >= 0
-        if not has_cat.any():
-            return
-        combined = ((cat[has_cat] * 1_000_000 + cust[has_cat])) * 100_000 + day[has_cat]
-        values = vol[matched][has_cat]
-        order = np.argsort(combined, kind="stable")
-        combined = combined[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(combined)) + 1))
-        sums = np.add.reduceat(values[order], starts)
-        g_country = cc[has_cat][order][starts].astype(np.int64)
-        g_cat = cat[has_cat][order][starts]
-        self.h7_volume.update(g_cat * nc + g_country, sums)
-
+        cat = category[label]
+        has = np.flatnonzero(cat >= 0)
+        key = cat[has] * n_cells + cell[has]
+        n_keys = len(FIG7_CATEGORIES) * n_cells
+        sums = np.bincount(key, vol[matched[has]], minlength=n_keys)
+        seen = np.zeros(n_keys, dtype=bool)
+        seen[key] = True
+        groups = np.flatnonzero(seen)
+        self.h7_volume.update(
+            groups // n_cells * nc + cell_country[groups % n_cells], sums[groups]
+        )
 
     def _update_qoe(self, frame: FlowFrame) -> None:
         """Figure 12: per-(country, plan) video-session QoE."""
@@ -617,55 +744,52 @@ class StreamRollup:
         self.h12_rebuf.update(rows, rebuffer)
         self.h12_level.update(rows, level)
 
-    def _update_dns(self, frame: FlowFrame, c: np.ndarray) -> None:
-        """Figure 10 counters/histograms and the Table 2 customer bank."""
+    def _fold_dns(
+        self,
+        frame: FlowFrame,
+        group: np.ndarray,
+        c: np.ndarray,
+        cell: np.ndarray,
+        n_days: int,
+        ids: np.ndarray,
+    ) -> None:
+        """Figure 10 counters/histograms and the Table 2 customer bank;
+        ``group`` is each flow's Table 2 domain group."""
         nr = len(self.resolvers)
         if nr == 0:
             return
         nc = len(self.countries)
-        dns = frame.resolver_idx >= 0
-        res = frame.resolver_idx.astype(np.int64)
-        self.dns_cr += np.bincount(
-            c[dns] * nr + res[dns], minlength=nc * nr
-        ).reshape(nc, nr).astype(np.int64)
-        resp_ok = dns & np.isfinite(frame.dns_response_ms)
-        self.h10_resp.update(res[resp_ok], frame.dns_response_ms[resp_ok])
+        dns = np.flatnonzero(frame.resolver_idx >= 0)
+        res = frame.resolver_idx[dns]
+        self.dns_cr += np.bincount(c[dns] * nr + res, minlength=nc * nr).reshape(nc, nr)
+        self.h10_resp.update(res, frame.dns_response_ms[dns])
 
-        # Table 2 bank: group flows by customer, then accumulate that
-        # customer's resolver counts and per-domain-group RTT sums.
+        # Table 2 bank: per customer, DNS flows per resolver and the
+        # ground-RTT sum and sample count per domain group.
         ng = len(self._t2_groups)
-        flow_group = table2_group_of_flows(frame)
-        rtt_ok = np.isfinite(frame.ground_rtt_ms) & (flow_group >= 0)
-
-        relevant = dns | rtt_ok
-        if not relevant.any():
+        rtt = frame.ground_rtt_ms
+        ok = np.flatnonzero((group >= 0) & np.isfinite(rtt))
+        if len(dns) == 0 and len(ok) == 0:
             return
-        cust = frame.customer_id[relevant].astype(np.int64)
-        r_rel = res[relevant]
-        g_rel = flow_group[relevant].astype(np.int64)
-        rtt_rel = frame.ground_rtt_ms[relevant].astype(np.float64)
-        dns_rel = dns[relevant]
-        rtt_rel_ok = rtt_ok[relevant]
-        order = np.argsort(cust, kind="stable")
-        cust = cust[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(cust)) + 1))
-        ends = np.concatenate((starts[1:], [len(cust)]))
-        for lo, hi in zip(starts, ends):
-            seg = order[lo:hi]
-            vec = self._t2.setdefault(
-                int(cust[lo]), np.zeros(self._t2_vec_len, dtype=np.float64)
-            )
-            seg_dns = seg[dns_rel[order[lo:hi]]]
-            if len(seg_dns):
-                vec[:nr] += np.bincount(r_rel[seg_dns], minlength=nr)
-            seg_rtt = seg[rtt_rel_ok[order[lo:hi]]]
-            if len(seg_rtt):
-                groups = g_rel[seg_rtt]
-                vec[nr : nr + ng] += np.bincount(
-                    groups, weights=rtt_rel[seg_rtt], minlength=ng
-                )
-                vec[nr + ng :] += np.bincount(groups, minlength=ng)
-
+        n_cust = len(ids)
+        dns_rank, ok_rank = cell[dns] // n_days, cell[ok] // n_days
+        key = ok_rank * ng + group[ok]
+        rtt_sum = np.bincount(key, rtt[ok].astype(np.float64), minlength=n_cust * ng)
+        bank = np.concatenate(
+            (
+                np.bincount(dns_rank * nr + res, minlength=n_cust * nr).reshape(-1, nr),
+                rtt_sum.reshape(-1, ng),
+                np.bincount(key, minlength=n_cust * ng).reshape(-1, ng),
+            ),
+            axis=1,
+            dtype=np.float64,
+        )
+        touched = np.zeros(n_cust, dtype=bool)
+        touched[dns_rank] = True
+        touched[ok_rank] = True
+        for cid, row in zip(ids[touched].tolist(), bank[touched]):
+            vec = self._t2.setdefault(cid, np.zeros(self._t2_vec_len))
+            vec += row
 
     # -- merge ---------------------------------------------------------
 
@@ -785,36 +909,36 @@ class StreamRollup:
             "resolvers": self.resolvers,
         }
 
-    def _state_arrays(self) -> Dict[str, np.ndarray]:
-        arrays: Dict[str, np.ndarray] = {
-            "counters": np.array(
-                [self.flows_total, self.windows_folded], dtype=np.int64
-            ),
+    def _state_groups(self) -> Dict[str, Dict[str, np.ndarray]]:
+        """The saved arrays, grouped by the bank or keyed state that
+        owns them (``counters``, ``_customers``, ``vol_day``, ``_t2``)."""
+        counters = np.array([self.flows_total, self.windows_folded], dtype=np.int64)
+        groups = {"counters": {"counters": counters}}
+        groups.update((b.name, b.arrays(getattr(self, b.name))) for b in self.BANKS)
+        ids = [sorted(s) for s in self._customers]
+        days, t2_ids = sorted(self.vol_day), sorted(self._t2)
+        stats = [self._t2[cid] for cid in t2_ids]
+        groups["_customers"] = {
+            "cust_ids": np.array([cid for x in ids for cid in x], dtype=np.int64),
+            "cust_offsets": np.cumsum([0] + [len(x) for x in ids]).astype(np.int64),
         }
-        for bank in self.BANKS:
-            arrays.update(bank.arrays(getattr(self, bank.name)))
-        ids = [np.array(sorted(s), dtype=np.int64) for s in self._customers]
-        arrays["cust_ids"] = (
-            np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
-        )
-        arrays["cust_offsets"] = np.cumsum([0] + [len(x) for x in ids]).astype(
-            np.int64
-        )
-        days = sorted(self.vol_day)
-        arrays["day_keys"] = np.array(days, dtype=np.int64)
-        arrays["day_vol"] = (
-            np.stack([self.vol_day[d] for d in days])
-            if days
-            else np.zeros((0, len(self.countries), 24), dtype=np.float64)
-        )
-        t2_ids = np.array(sorted(self._t2), dtype=np.int64)
-        arrays["t2_ids"] = t2_ids
-        arrays["t2_stats"] = (
-            np.stack([self._t2[int(cid)] for cid in t2_ids])
-            if len(t2_ids)
-            else np.zeros((0, self._t2_vec_len), dtype=np.float64)
-        )
-        return arrays
+        groups["vol_day"] = {
+            "day_keys": np.array(days, dtype=np.int64),
+            "day_vol": np.array([self.vol_day[d] for d in days], dtype=np.float64)
+            .reshape(len(days), len(self.countries), 24),
+        }
+        groups["_t2"] = {
+            "t2_ids": np.array(t2_ids, dtype=np.int64),
+            "t2_stats": np.array(stats, dtype=np.float64)
+            .reshape(len(stats), self._t2_vec_len),
+        }
+        return groups
+
+    def _state_arrays(self) -> Dict[str, np.ndarray]:
+        return {k: a for group in self._state_groups().values() for k, a in group.items()}
+
+    def _meta_bytes(self) -> bytes:
+        return json.dumps(self._meta(), sort_keys=True).encode()
 
     def state_digest(self) -> str:
         """SHA-256 over the canonical state — the bit-identity oracle.
@@ -823,12 +947,16 @@ class StreamRollup:
         hash collision); the checkpoint stores it, and the stream tests
         compare one-shot vs killed-and-resumed captures with it.
         """
-        digest = hashlib.sha256()
-        digest.update(json.dumps(self._meta(), sort_keys=True).encode())
-        for name, array in sorted(self._state_arrays().items()):
-            digest.update(name.encode())
-            digest.update(np.ascontiguousarray(array).tobytes())
-        return digest.hexdigest()
+        return _sha256(self._state_arrays(), self._meta_bytes())
+
+    def bank_digests(self) -> Dict[str, str]:
+        """SHA-256 per bank, per keyed state and of the ``meta`` digest
+        prefix. Up to hash collision they all match between two rollups
+        exactly when :meth:`state_digest` does; a mismatch names what
+        diverged."""
+        digests = {name: _sha256(group) for name, group in self._state_groups().items()}
+        digests["meta"] = hashlib.sha256(self._meta_bytes()).hexdigest()
+        return digests
 
     def save(self, path, injector: Optional[FaultInjector] = None) -> None:
         """Atomically persist the rollup state to an ``.npz``."""

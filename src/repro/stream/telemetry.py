@@ -49,6 +49,7 @@ def render_telemetry(rows: Sequence[WindowTelemetry]) -> str:
                 f"{t.gen_seconds * 1e3:,.0f}",
                 f"{t.spill_seconds * 1e3:,.0f}",
                 f"{t.fold_seconds * 1e3:,.0f}",
+                f"{t.save_seconds * 1e3:,.0f}",
                 f"{t.busy_seconds:.2f}",
                 f"{t.peak_rss_mb:.0f}",
                 f"{t.faults}",
@@ -68,6 +69,7 @@ def render_telemetry(rows: Sequence[WindowTelemetry]) -> str:
             f"{sum(t.gen_seconds for t in rows) * 1e3:,.0f}",
             f"{sum(t.spill_seconds for t in rows) * 1e3:,.0f}",
             f"{sum(t.fold_seconds for t in rows) * 1e3:,.0f}",
+            f"{sum(t.save_seconds for t in rows) * 1e3:,.0f}",
             f"{total_secs:.2f}",
             f"{max((t.peak_rss_mb for t in rows), default=float('nan')):.0f}",
             f"{sum(t.faults for t in rows)}",
@@ -85,6 +87,7 @@ def render_telemetry(rows: Sequence[WindowTelemetry]) -> str:
             "Gen ms",
             "Spill ms",
             "Fold ms",
+            "Save ms",
             "Seconds",
             "Peak RSS MB",
             "Faults",

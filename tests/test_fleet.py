@@ -296,6 +296,22 @@ def test_resume_of_complete_fleet_is_idempotent(
     # no partition re-ran: the manifest short-circuit reused the capture
     assert [state.attempts for state in again.states] == attempts
     assert all(state.status == "done" for state in again.states)
+    # ... and the merge's time split survives the rewritten manifest
+    assert load_fleet_manifest(tmp_path / "fleet")["merge"]["windows"] > 0
+
+
+def test_merge_time_split_is_persisted_and_printed(tiny_scenario, tmp_path):
+    lines = []
+    result = run_fleet_capture(
+        tiny_scenario, tmp_path / "fleet", partitions=2, on_event=lines.append
+    )
+    merge = load_fleet_manifest(tmp_path / "fleet")["merge"]
+    assert merge["windows"] == result.plan.n_windows
+    assert merge["flows"] == result.rollup.flows_total
+    assert merge["assemble_s"] > 0 and merge["fold_s"] > 0
+    assert merge["seconds"] >= merge["assemble_s"] + merge["fold_s"]
+    at = next(i for i, line in enumerate(lines) if line.startswith("merging 2"))
+    assert "assembly" in lines[at + 1] and "fold" in lines[at + 1]
 
 
 def test_resume_rebuilds_missing_merge_without_rerunning(

@@ -616,6 +616,14 @@ DIGEST_PINS = {
         0,
         "46e342eb2db34849af32142e39343ec4cfdf09809ae004e4994ac498fe34d240",
     ),
+    # windows spanning two days: the fold's (customer, day) cells have a
+    # day axis that one-day windows never exercise
+    "multi-day-window": (
+        ["--customers", "120", "--days", "3", "--seed", "11", "--window-days", "2"],
+        494_247,
+        0,
+        "a2bf15c8e016f8b7043591cb31820584505f8da51b6e6431e56cedc542f03a8d",
+    ),
 }
 
 

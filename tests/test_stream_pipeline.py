@@ -107,14 +107,33 @@ def test_stage_split_lands_in_telemetry(tmp_path):
         assert t.gen_seconds > 0
         assert t.spill_seconds >= 0
         assert t.fold_seconds >= 0
+        assert t.save_seconds >= 0
         assert t.busy_seconds == pytest.approx(
-            t.gen_seconds + t.spill_seconds + t.fold_seconds
+            t.gen_seconds + t.spill_seconds + t.fold_seconds + t.save_seconds
         )
+        assert t.flows_per_s == pytest.approx(t.flows / t.busy_seconds)
     from repro.stream import render_telemetry
 
     table = render_telemetry(result.telemetry)
-    for column in ("Gen ms", "Spill ms", "Fold ms", "Seconds"):
+    for column in ("Gen ms", "Spill ms", "Fold ms", "Save ms", "Seconds"):
         assert column in table
+
+
+def test_checkpoint_rows_without_save_seconds_still_load(tmp_path):
+    """Rows written before the fold/save split load with zero save time."""
+    import json
+
+    from repro.stream import load_checkpoint
+    from repro.stream.checkpoint import checkpoint_path
+
+    run_stream_capture(_config(3, 1, 0), tmp_path / "cap")
+    path = checkpoint_path(tmp_path / "cap")
+    payload = json.loads(path.read_text())
+    for row in payload["telemetry"]:
+        del row["save_seconds"]
+    path.write_text(json.dumps(payload))
+    rows = load_checkpoint(tmp_path / "cap").telemetry
+    assert rows and all(t.save_seconds == 0.0 for t in rows)
 
 
 def test_resume_mid_capture_pipelined(tmp_path):
