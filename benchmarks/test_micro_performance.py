@@ -2,11 +2,9 @@
 fleet merge, serve). Not paper experiments — performance engineering
 guardrails for the library itself."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.classify import ServiceClassifier
-from repro.kernels import sniff
 from repro.flowmeter.meter import FlowMeter
 from repro.net.packet import IPProtocol, Packet, TCPFlags
 from repro.scenario import get_scenario
@@ -64,43 +62,6 @@ def test_micro_flowmeter_vectorized(benchmark):
     meter = benchmark(run)
     assert len(meter.records) == 200
     assert meter.packets_processed == len(packets)
-
-
-def _sniff_corpus(n=20_000, seed=5):
-    rng = np.random.default_rng(seed)
-    lengths = rng.integers(0, 64, size=n)
-    return [rng.bytes(int(k)) for k in lengths]
-
-
-@pytest.mark.benchmark(group="micro")
-def test_micro_sniffers_scalar(benchmark):
-    payloads = _sniff_corpus()
-
-    def run():
-        return {
-            name: [oracle(p) for p in payloads]
-            for name, oracle in sniff.SCALAR_ORACLES.items()
-        }
-
-    verdicts = benchmark(run)
-    assert set(verdicts) == set(sniff.BATCH_SNIFFERS)
-
-
-@pytest.mark.benchmark(group="micro")
-def test_micro_sniffers_batch(benchmark):
-    payloads = _sniff_corpus()
-
-    def run():
-        return sniff.sniff_matrix(payloads)
-
-    verdicts = benchmark(run)
-    # spot-check the batch verdicts against the scalar oracles
-    for name, oracle in sniff.SCALAR_ORACLES.items():
-        got = verdicts[name]
-        assert len(got) == len(payloads)
-        assert [bool(v) for v in got[:256]] == [
-            oracle(p) for p in payloads[:256]
-        ]
 
 
 @pytest.mark.benchmark(group="micro")

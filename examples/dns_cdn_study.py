@@ -13,6 +13,7 @@ Run:  python examples/dns_cdn_study.py
 from __future__ import annotations
 
 from repro.analysis.reports import fig9_ground_rtt, fig10_dns, table2_resolver_rtt
+from repro.analysis.source import FrameSource
 from repro.pipeline import generate_flow_dataset, generate_with_forced_resolver
 from repro.scenario import get_scenario
 
@@ -28,7 +29,8 @@ def main() -> None:
     print(fig10_dns.render(fig10_dns.compute(frame)))
     print()
 
-    table2 = table2_resolver_rtt.compute(frame, countries=("UK", "Nigeria"))
+    rollup = FrameSource(frame).to_rollup()
+    table2 = table2_resolver_rtt.from_rollup(rollup, countries=("UK", "Nigeria"))
     print(table2_resolver_rtt.render(table2))
 
     op = table2.rtt("Nigeria", "Operator-EU", "captive.apple.com")

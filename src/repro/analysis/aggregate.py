@@ -3,50 +3,15 @@
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.dataset import FlowFrame
 from repro.analysis.domains import TABLE2_DOMAIN_GROUPS
 from repro.constants import ACTIVE_CUSTOMER_FLOW_THRESHOLD
-from repro.flowmeter.records import L7_ORDER
 from repro.internet.geo import COUNTRIES, lon_hour_shift
 from repro.satcom.plans import PLAN_ORDER, plan_index_bulk
-
-
-def protocol_volume_share(frame: FlowFrame, mask: Optional[np.ndarray] = None) -> Dict[str, float]:
-    """Volume share (percent) per protocol label (Table 1 / Figure 3)."""
-    if mask is None:
-        mask = np.ones(len(frame), dtype=bool)
-    volume = frame.bytes_total()[mask]
-    l7 = frame.l7_idx[mask]
-    total = volume.sum()
-    if total <= 0:
-        return {label.value: 0.0 for label in L7_ORDER}
-    return {
-        label.value: float(volume[l7 == i].sum() / total * 100.0)
-        for i, label in enumerate(L7_ORDER)
-    }
-
-
-def country_breakdown(frame: FlowFrame) -> List[Tuple[str, float, float]]:
-    """(country, volume %, customer %) sorted by decreasing volume (Fig. 2)."""
-    volume = frame.bytes_total()
-    total_volume = volume.sum()
-    total_customers = len(np.unique(frame.customer_id))
-    rows: List[Tuple[str, float, float]] = []
-    for country, mask in frame.groupby_country().items():
-        vol_pct = float(volume[mask].sum() / total_volume * 100.0)
-        cust_pct = float(len(np.unique(frame.customer_id[mask])) / total_customers * 100.0)
-        rows.append((country, vol_pct, cust_pct))
-    rows.sort(key=lambda row: -row[1])
-    return rows
-
-
-def top_countries_by_volume(frame: FlowFrame, n: int = 10) -> List[str]:
-    """The top-``n`` countries by traffic volume."""
-    return [row[0] for row in country_breakdown(frame)[:n]]
 
 
 def hourly_volume_utc(frame: FlowFrame, country: str, robust: bool = True) -> np.ndarray:
@@ -106,15 +71,6 @@ def table2_group_of_domains(domains: Sequence[str]) -> np.ndarray:
                 pool_group[d_idx] = g_idx
                 break
     return pool_group
-
-
-def table2_group_of_flows(frame: FlowFrame) -> np.ndarray:
-    """Per flow, its :func:`table2_group_of_domains` index, else -1."""
-    pool_group = table2_group_of_domains(frame.domains)
-    flow_group = np.full(len(frame), -1, dtype=np.int16)
-    has_domain = frame.domain_idx >= 0
-    flow_group[has_domain] = pool_group[frame.domain_idx[has_domain]]
-    return flow_group
 
 
 def fold_video_sessions(
@@ -181,14 +137,6 @@ def customer_day_bytes(
     return np.array(
         [volume for key, volume in volumes.items() if key in active], dtype=np.float64
     )
-
-
-def customers_per_country(frame: FlowFrame) -> Dict[str, int]:
-    """Distinct customers observed per country."""
-    return {
-        country: int(len(np.unique(frame.customer_id[mask])))
-        for country, mask in frame.groupby_country().items()
-    }
 
 
 def dominant_resolver_per_customer(frame: FlowFrame) -> Dict[int, int]:

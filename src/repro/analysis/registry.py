@@ -1,14 +1,17 @@
 """Declarative report registry — the analysis layer's dispatch table.
 
 Every table/figure module registers a :class:`ReportSpec` at import
-time: its CLI name, the flow columns it reads, how to compute from a
-:class:`~repro.analysis.dataset.FlowFrame` and/or from
-:class:`~repro.stream.StreamRollup` sketches, and how to render the
-result. The CLI (``repro report`` / ``repro stream-report``) and the
-parity tests iterate this registry instead of hand-maintained
-if-chains, so adding a report is one module plus one ``register()``
-call — the dispatch, the ``--help`` text, the capability matrix in the
-docs and the parity suite all pick it up.
+time: its CLI name, how to compute from
+:class:`~repro.stream.StreamRollup` sketches and/or, for reports the
+sketches cannot serve exactly, from a
+:class:`~repro.analysis.dataset.FlowFrame` (with the flow columns that
+path reads), and how to render the result. A report whose sketch is
+exact registers only the rollup path; a frame or store source folds
+itself once and reads the same sketches. The CLI (``repro report`` /
+``repro stream-report``) and the parity tests iterate this registry
+instead of hand-maintained if-chains, so adding a report is one module
+plus one ``register()`` call — the dispatch, the ``--help`` text, the
+capability matrix in the docs and the parity suite all pick it up.
 
 Registration happens when :mod:`repro.analysis.reports` imports its
 submodules; that import order *is* the registry (and CLI) order. Use
@@ -38,31 +41,26 @@ class ReportSpec:
 
     ``columns`` is the projection a spilled capture loads for the
     frame path — it must cover everything ``compute_frame`` touches
-    (the store-projection parity test enforces this). ``exact_parity``
-    asserts the rollup path renders *byte-identically* to the frame
-    path; leave it False for reports whose rollup quantiles
-    interpolate inside histogram bins.
+    (the store-projection parity test enforces this). Reports without
+    a frame path declare none.
     """
 
     name: str
     title: str
     module: str
-    columns: Tuple[str, ...]
     render: Callable[[object], str]
+    columns: Tuple[str, ...] = ()
     compute_frame: Optional[Callable] = None
     compute_rollup: Optional[Callable] = None
-    exact_parity: bool = False
 
     @property
     def sources(self) -> Tuple[str, ...]:
-        """Source kinds this report can run from (store rides the
-        frame path via column projection)."""
-        kinds: List[str] = []
-        if self.compute_frame is not None:
-            kinds += ["frame", "store"]
-        if self.compute_rollup is not None:
-            kinds.append("rollup")
-        return tuple(kinds)
+        """Source kinds this report can run from. Frame and store
+        always qualify: they either feed the frame path (store via
+        column projection) or fold into the rollup path."""
+        if self.compute_rollup is None:
+            return ("frame", "store")
+        return SOURCE_KINDS
 
     def supports(self, kind: str) -> bool:
         return kind in self.sources
@@ -119,27 +117,27 @@ def get(name: str) -> ReportSpec:
 def run(name: str, source: FlowSource, prefer: Optional[str] = None) -> str:
     """Render one report from whatever ``source`` holds.
 
-    The frame path is the default; ``prefer="rollup"`` forces the
-    sketch path (what ``stream-report`` does), and a bare rollup
-    source can *only* serve sketch-capable reports. A frame-only
+    The frame path is the default for reports that have one;
+    ``prefer="rollup"`` forces the sketch path (what ``stream-report``
+    does). Rollup-only reports fold a frame or store source with
+    :meth:`~repro.analysis.source.FlowSource.to_rollup`, and a bare
+    rollup source can *only* serve sketch-capable reports. A frame-only
     report asked to run from sketches raises
     :class:`ReportSourceError` rather than silently decompressing the
     flows behind the caller's back.
     """
     spec = get(name)
-    if source.kind == "rollup" or prefer == "rollup":
-        if spec.compute_rollup is None:
-            rollup_capable = [s.name for s in specs() if s.compute_rollup]
-            raise ReportSourceError(
-                f"report {name!r} needs flow records and cannot run from "
-                f"rollup sketches; sketch-capable reports: "
-                f"{', '.join(rollup_capable)}"
-            )
-        return spec.render(spec.compute_rollup(source.to_rollup()))
-    if spec.compute_frame is None:
-        # Rollup-only report on a flow-bearing source: fold and serve.
-        return spec.render(spec.compute_rollup(source.to_rollup()))
-    return spec.render(spec.compute_frame(source.to_frame(columns=spec.columns)))
+    sketches = source.kind == "rollup" or prefer == "rollup"
+    if spec.compute_frame is not None and not sketches:
+        return spec.render(spec.compute_frame(source.to_frame(columns=spec.columns)))
+    if spec.compute_rollup is None:
+        rollup_capable = [s.name for s in specs() if s.compute_rollup]
+        raise ReportSourceError(
+            f"report {name!r} needs flow records and cannot run from "
+            f"rollup sketches; sketch-capable reports: "
+            f"{', '.join(rollup_capable)}"
+        )
+    return spec.render(spec.compute_rollup(source.to_rollup()))
 
 
 def capability_matrix_markdown() -> str:

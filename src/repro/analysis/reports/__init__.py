@@ -1,12 +1,18 @@
 """One module per table/figure of the paper's evaluation.
 
-Every module exposes ``compute(frame, ...)`` returning a typed result,
-a ``PAPER_*`` constant with the published values for comparison, and
-``render(result)`` producing the text the benchmark harness prints.
-Each module also registers itself with
-:mod:`repro.analysis.registry`; the import order below *is* the
-registry order, which is what ``repro report --which all`` runs and
-the order the docs' capability matrix lists.
+Every module returns a typed result from ``from_rollup(rollup)`` (a
+:class:`~repro.stream.StreamRollup`), from ``compute(frame, ...)`` (a
+:class:`~repro.analysis.dataset.FlowFrame`), or from both, and turns
+it into the text the benchmark harness prints with
+``render(result)``; most carry the published values for comparison.
+The exact reports (Table 1, Figures 2, 3, 6 and 12, Table 2) have only
+``from_rollup``: a frame is folded into a rollup first. Reports whose
+rollup quantiles interpolate inside histogram bins keep ``compute``
+beside it, and the two that need flow records have only ``compute``.
+Each module registers itself with :mod:`repro.analysis.registry`; the
+import order below *is* the registry order, which is what
+``repro report --which all`` runs and the order the docs' capability
+matrix lists.
 """
 
 from repro.analysis.reports import (

@@ -21,8 +21,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.analysis.aggregate import fold_video_sessions, format_table
-from repro.analysis.dataset import FlowFrame
+from repro.analysis.aggregate import format_table
 from repro.satcom.plans import PLAN_ORDER
 
 #: Figure 11a plan-rate knees — the throughput context for the QoE rows.
@@ -37,9 +36,7 @@ class Fig12Result:
     """Per-(plan, country) session counters and QoE sums.
 
     Arrays are ``(n_plans, n_countries)`` over the capture's full
-    country pool and :data:`PLAN_ORDER`; both the frame and the rollup
-    path produce this exact shape, which is what makes the render
-    parity trivial.
+    country pool and :data:`PLAN_ORDER`.
     """
 
     countries: List[str]
@@ -67,25 +64,9 @@ class Fig12Result:
         )
 
 
-def compute(frame: FlowFrame) -> Fig12Result:
-    """Measure per-(country, plan) QoE from the flow table."""
-    shape = (len(PLAN_ORDER), len(frame.countries))
-    sessions, rebuffer_sum, level_sum, switch_sum = (
-        bank.reshape(shape) for bank in fold_video_sessions(frame)[3]
-    )
-    return Fig12Result(
-        countries=list(frame.countries),
-        plans=PLAN_ORDER,
-        sessions=sessions,
-        rebuffer_sum=rebuffer_sum,
-        level_sum=level_sum,
-        switch_sum=switch_sum,
-    )
-
-
 def from_rollup(rollup) -> Fig12Result:
-    """Figure 12 from the v4 QoE bank — the same counters the frame
-    path computes, folded window by window."""
+    """Figure 12 from the v4 QoE bank: sessions deduped on their id and
+    summed per (plan, country), folded window by window."""
     nc = len(rollup.countries)
     shape = (len(PLAN_ORDER), nc)
     return Fig12Result(
@@ -135,16 +116,6 @@ _registry.register(
     name="fig12",
     title="Video-session QoE (extension)",
     module=__name__,
-    columns=(
-        "country_idx",
-        "plan_down_mbps",
-        "session_id",
-        "qoe_rebuffer",
-        "qoe_level",
-        "qoe_switches",
-    ),
-    compute_frame=compute,
     compute_rollup=from_rollup,
     render=render,
-    exact_parity=True,
 )

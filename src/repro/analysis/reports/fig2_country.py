@@ -11,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import numpy as np
-
-from repro.analysis.aggregate import country_breakdown, format_table
-from repro.analysis.dataset import FlowFrame
+from repro.analysis.aggregate import format_table
 
 #: (volume %, customer %) the paper reports for the two named countries.
 PAPER_SHARES: Dict[str, Tuple[float, float]] = {
@@ -41,11 +38,6 @@ class Fig2Result:
         return vol > cust
 
 
-def compute(frame: FlowFrame) -> Fig2Result:
-    """Measure the Figure 2 breakdown."""
-    return Fig2Result(rows=country_breakdown(frame))
-
-
 def from_rollup(rollup) -> Fig2Result:
     """Figure 2 from a :class:`~repro.stream.StreamRollup` — exact
     (volume and distinct-customer counters are lossless sketches)."""
@@ -64,17 +56,6 @@ def from_rollup(rollup) -> Fig2Result:
     ]
     rows.sort(key=lambda row: -row[1])
     return Fig2Result(rows=rows)
-
-
-def mean_daily_download_mb(frame: FlowFrame, country: str) -> float:
-    """Average download volume per customer-day (paper: Congo ≈600 MB,
-    Spain ≈170 MB)."""
-    mask = frame.country_mask(country)
-    customers = len(np.unique(frame.customer_id[mask]))
-    days = len(np.unique(frame.day[mask]))
-    if customers == 0 or days == 0:
-        return float("nan")
-    return float(frame.bytes_down[mask].sum() / customers / days / 1e6)
 
 
 def render(result: Fig2Result, top: int = 12) -> str:
@@ -97,9 +78,6 @@ _registry.register(
     name="fig2",
     title="Per-country volume and customer share",
     module=__name__,
-    columns=("country_idx", "customer_id", "bytes_up", "bytes_down"),
-    compute_frame=compute,
     compute_rollup=from_rollup,
     render=render,
-    exact_parity=True,
 )

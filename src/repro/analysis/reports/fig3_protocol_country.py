@@ -10,12 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.analysis.aggregate import (
-    format_table,
-    protocol_volume_share,
-    top_countries_by_volume,
-)
-from repro.analysis.dataset import FlowFrame
+from repro.analysis.aggregate import format_table
+from repro.flowmeter.records import L7_ORDER
 
 
 @dataclass
@@ -28,19 +24,9 @@ class Fig3Result:
         return self.shares[country][label]
 
 
-def compute(frame: FlowFrame, top: int = 10) -> Fig3Result:
-    """Protocol mix per top-``top`` country."""
-    shares: Dict[str, Dict[str, float]] = {}
-    for country in top_countries_by_volume(frame, top):
-        shares[country] = protocol_volume_share(frame, frame.country_mask(country))
-    return Fig3Result(shares=shares)
-
-
 def from_rollup(rollup, top: int = 10) -> Fig3Result:
     """Figure 3 from a :class:`~repro.stream.StreamRollup` — exact,
     read off the (country, l7, hour) volume matrix."""
-    from repro.flowmeter.records import L7_ORDER
-
     volume = rollup.volume_c()
     order = sorted(
         (i for i in range(len(rollup.countries)) if rollup.flows_c[i] > 0),
@@ -75,9 +61,6 @@ _registry.register(
     name="fig3",
     title="Protocol share per country",
     module=__name__,
-    columns=("country_idx", "l7_idx", "bytes_up", "bytes_down"),
-    compute_frame=compute,
     compute_rollup=from_rollup,
     render=render,
-    exact_parity=True,
 )

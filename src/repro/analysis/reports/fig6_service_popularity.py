@@ -15,9 +15,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.analysis.aggregate import customers_per_country, format_table
-from repro.analysis.classify import ServiceClassifier
-from repro.analysis.dataset import FlowFrame
+from repro.analysis.aggregate import format_table
 from repro.traffic.profiles import FIG6_ADOPTION_PCT, TOP_COUNTRIES
 
 #: Services shown in the heatmap (the paper restricts to those whose
@@ -55,35 +53,6 @@ class Fig6Result:
         return float(np.mean(values)) if values else float("nan")
 
 
-def compute(
-    frame: FlowFrame,
-    countries: Sequence[str] = TOP_COUNTRIES,
-    classifier: ServiceClassifier = None,
-) -> Fig6Result:
-    """Measure daily service popularity via the Table 3 classifier."""
-    classifier = classifier or ServiceClassifier()
-    labels, names = classifier.label_frame(frame)
-    name_index = {name: i for i, name in enumerate(names)}
-    total_customers = customers_per_country(frame)
-    days = np.unique(frame.day)
-
-    matrix: Dict[str, Dict[str, float]] = {s: {} for s in HEATMAP_SERVICES}
-    for country in countries:
-        country_mask = frame.country_mask(country)
-        denom = total_customers.get(country, 0)
-        if denom == 0:
-            continue
-        for service in HEATMAP_SERVICES:
-            service_mask = labels == name_index[service]
-            mask = country_mask & service_mask
-            daily_counts = []
-            for day in days:
-                users = np.unique(frame.customer_id[mask & (frame.day == day)])
-                daily_counts.append(len(users))
-            matrix[service][country] = float(np.mean(daily_counts) / denom * 100.0)
-    return Fig6Result(matrix=matrix)
-
-
 def from_rollup(
     rollup, countries: Sequence[str] = TOP_COUNTRIES
 ) -> Fig6Result:
@@ -91,8 +60,8 @@ def from_rollup(
 
     The rollup folds the same Table 3 classifier over each window's
     domain pool and counts distinct customers per (country, service,
-    day); summed over days and divided by the day count this *is* the
-    frame path's mean of daily user counts.
+    day); summed over days and divided by the day count this is the
+    mean over days of the daily user counts.
     """
     n_days = rollup.n_days()
     customers = rollup.customers_c()
@@ -131,9 +100,6 @@ _registry.register(
     name="fig6",
     title="Daily service popularity heatmap",
     module=__name__,
-    columns=("country_idx", "customer_id", "day", "domain_idx"),
-    compute_frame=compute,
     compute_rollup=from_rollup,
     render=render,
-    exact_parity=True,
 )

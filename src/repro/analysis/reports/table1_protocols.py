@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.analysis.aggregate import format_table, protocol_volume_share
-from repro.analysis.dataset import FlowFrame
+from repro.analysis.aggregate import format_table
+from repro.flowmeter.records import L7_ORDER
 
 PAPER_SHARES: Dict[str, float] = {
     "tcp/https": 56.0,
@@ -33,16 +33,9 @@ class Table1Result:
         return self.shares[label]
 
 
-def compute(frame: FlowFrame) -> Table1Result:
-    """Measure the protocol breakdown over the whole capture."""
-    return Table1Result(shares=protocol_volume_share(frame))
-
-
 def from_rollup(rollup) -> Table1Result:
     """Table 1 from a :class:`~repro.stream.StreamRollup` — exact
     (the (country, l7, hour) volume matrix sums losslessly)."""
-    from repro.flowmeter.records import L7_ORDER
-
     by_l7 = rollup.volume_by_l7()
     total = by_l7.sum()
     if total <= 0:
@@ -72,9 +65,6 @@ _registry.register(
     name="table1",
     title="Protocol volume breakdown",
     module=__name__,
-    columns=("l7_idx", "bytes_up", "bytes_down"),
-    compute_frame=compute,
     compute_rollup=from_rollup,
     render=render,
-    exact_parity=True,
 )

@@ -19,12 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.aggregate import (
-    dominant_resolver_per_customer,
-    format_table,
-    table2_group_of_flows,
-)
-from repro.analysis.dataset import FlowFrame
+from repro.analysis.aggregate import format_table
 from repro.analysis.domains import TABLE2_DOMAIN_GROUPS
 
 #: Domain groups of Table 2 (the appendix tables add more second-level
@@ -57,39 +52,6 @@ class Table2Result:
         return self.mean_rtt_ms.get((country, resolver, domain))
 
 
-def compute(
-    frame: FlowFrame,
-    countries: Sequence[str] = ("UK", "Nigeria"),
-    min_samples: int = 5,
-) -> Table2Result:
-    """Mean ground RTT per (country, resolver, domain group)."""
-    group_names = list(DOMAIN_GROUPS)
-    flow_group = table2_group_of_flows(frame)
-    resolver_of = dominant_resolver_per_customer(frame)
-    flow_resolver = np.array(
-        [resolver_of.get(int(c), -1) for c in frame.customer_id], dtype=np.int16
-    )
-
-    has_rtt = np.isfinite(frame.ground_rtt_ms)
-    means: Dict[Tuple[str, str, str], float] = {}
-    counts: Dict[Tuple[str, str, str], int] = {}
-    for country in countries:
-        c_mask = frame.country_mask(country) & has_rtt & (flow_group >= 0)
-        for r_idx, resolver in enumerate(frame.resolvers):
-            r_mask = c_mask & (flow_resolver == r_idx)
-            if not r_mask.any():
-                continue
-            for g_idx, group in enumerate(group_names):
-                values = frame.ground_rtt_ms[r_mask & (flow_group == g_idx)]
-                if len(values) >= min_samples:
-                    key = (country, resolver, group)
-                    # float64 mean: the streamed path accumulates f64
-                    # sums, and a f32 mean drifts from it
-                    means[key] = float(values.astype(np.float64).mean())
-                    counts[key] = int(len(values))
-    return Table2Result(mean_rtt_ms=means, sample_counts=counts)
-
-
 def from_rollup(
     rollup,
     countries: Sequence[str] = ("UK", "Nigeria"),
@@ -99,8 +61,8 @@ def from_rollup(
 
     The rollup keeps, per customer, DNS-flow counts per resolver and
     ground-RTT (sum, count) per Table 2 domain group; the dominant-
-    resolver join then happens here, after merging — same rule as the
-    frame path (most DNS flows, ties to the lowest resolver index).
+    resolver join then happens here, after merging (most DNS flows,
+    ties to the lowest resolver index).
     Only the built-in :data:`DOMAIN_GROUPS` are sketched.
     """
     group_names = rollup.t2_groups
@@ -158,9 +120,6 @@ _registry.register(
     name="table2",
     title="Ground RTT per domain and resolver",
     module=__name__,
-    columns=("country_idx", "customer_id", "domain_idx", "resolver_idx", "ground_rtt_ms"),
-    compute_frame=compute,
     compute_rollup=from_rollup,
     render=render,
-    exact_parity=True,
 )

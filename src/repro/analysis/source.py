@@ -58,7 +58,9 @@ class FlowSource:
 
     def to_rollup(self):
         """The capture's :class:`~repro.stream.StreamRollup` sketches
-        (folded on demand when not already materialized)."""
+        (folded on demand when not already materialized, once per
+        source: callers share the returned rollup and must not mutate
+        it)."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -74,6 +76,7 @@ class FrameSource(FlowSource):
     def __init__(self, frame: FlowFrame, path: Optional[Path] = None) -> None:
         self.frame = frame
         self.path = path
+        self._rollup = None
 
     def to_frame(self, columns: Optional[Sequence[str]] = None) -> FlowFrame:
         # The frame is already resident — projection would save nothing.
@@ -82,7 +85,9 @@ class FrameSource(FlowSource):
     def to_rollup(self):
         from repro.stream.rollup import StreamRollup
 
-        return StreamRollup.for_frame(self.frame).update(self.frame)
+        if self._rollup is None:
+            self._rollup = StreamRollup.for_frame(self.frame).update(self.frame)
+        return self._rollup
 
     def describe(self) -> str:
         origin = f" from {self.path}" if self.path else ""
@@ -97,6 +102,7 @@ class StoreSource(FlowSource):
     def __init__(self, store) -> None:
         self.store = store
         self.directory = Path(store.directory)
+        self._rollup = None
 
     def to_frame(self, columns: Optional[Sequence[str]] = None) -> FlowFrame:
         """Concatenate the stored windows into one frame.
@@ -133,17 +139,30 @@ class StoreSource(FlowSource):
         return FlowFrame.concat(frames)
 
     def to_rollup(self):
-        """The capture's rollup — the saved state when loadable at the
-        current schema, else re-folded from the stored windows."""
+        """The rollup of the stored windows: the saved state when it
+        loads at the current schema and has folded exactly the windows
+        on disk, else a re-fold of those windows. A kill between spill
+        and save leaves one more window stored than folded; the saved
+        state would then disagree with :meth:`to_frame`."""
+        if self._rollup is None:
+            self._rollup = self._saved_rollup() or self._fold_windows()
+        return self._rollup
+
+    def _saved_rollup(self):
         from repro.stream.checkpoint import rollup_path
         from repro.stream.rollup import StreamRollup
 
-        saved = rollup_path(self.directory)
-        if saved.exists():
-            try:
-                return StreamRollup.load(saved)
-            except (ValueError, KeyError, OSError, zipfile.BadZipFile):
-                pass  # schema drift / truncation: fall back to folding
+        try:
+            rollup = StreamRollup.load(rollup_path(self.directory))
+        except (ValueError, KeyError, OSError, zipfile.BadZipFile):
+            return None  # missing, schema drift or truncation
+        if rollup.windows_folded != self.store.stored_window_count():
+            return None
+        return rollup
+
+    def _fold_windows(self):
+        from repro.stream.rollup import StreamRollup
+
         pools = self.store.pools
         rollup = StreamRollup(
             pools["countries"], pools["services"], pools["resolvers"]

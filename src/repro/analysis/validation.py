@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.analysis.aggregate import format_table
 from repro.analysis.dataset import FlowFrame
+from repro.analysis.source import FrameSource
 from repro.analysis.reports import (
     fig2_country,
     fig4_diurnal,
@@ -175,19 +176,24 @@ def _headline_checks(t1, f2, f4, f5, f8, f9, f10, f12) -> List[Check]:
 
 
 def build_scorecard(frame: FlowFrame) -> Scorecard:
-    """Evaluate the headline claims against ``frame``."""
+    """Evaluate the headline claims against ``frame``.
+
+    Reports with a frame path read the flows; the exact ones (Table 1,
+    Figures 2 and 12) read one fold of the frame.
+    """
+    rollup = FrameSource(frame).to_rollup()
     # Figure 12 (extension) — only when the capture carries video
     # sessions (traffic.qoe enabled); QoE-less captures keep the
     # original check list byte-for-byte.
     f12 = (
-        fig12_video_qoe.compute(frame)
+        fig12_video_qoe.from_rollup(rollup)
         if np.any(frame.session_id >= 0)
         else None
     )
     return Scorecard(
         checks=_headline_checks(
-            table1_protocols.compute(frame),
-            fig2_country.compute(frame),
+            table1_protocols.from_rollup(rollup),
+            fig2_country.from_rollup(rollup),
             fig4_diurnal.compute(frame),
             fig5_volumes.compute(frame),
             fig8_satellite_rtt.compute_fig8a(frame),
@@ -294,8 +300,8 @@ def render_qoe_comparison(
     aggregates — the shaper should trade resolution level for a bounded
     rebuffer ratio, not silently wreck both.
     """
-    a12 = fig12_video_qoe.compute(frame_a)
-    b12 = fig12_video_qoe.compute(frame_b)
+    a12 = fig12_video_qoe.from_rollup(FrameSource(frame_a).to_rollup())
+    b12 = fig12_video_qoe.from_rollup(FrameSource(frame_b).to_rollup())
 
     def agg(result, sums) -> float:
         n = result.total_sessions()

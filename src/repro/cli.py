@@ -715,7 +715,7 @@ def _cmd_stream_report(args: argparse.Namespace) -> int:
             print(
                 f"note: capture is partial ({checkpoint.windows_done}/"
                 f"{checkpoint.n_windows} windows, "
-                f"{checkpoint.progress():.0%}); figures cover the folded "
+                f"{checkpoint.progress():.0%}); figures cover the stored "
                 "windows only",
                 file=sys.stderr,
             )

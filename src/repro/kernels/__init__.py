@@ -1,20 +1,16 @@
 """Vectorized batch kernels behind the ``engine`` knob.
 
 The streaming generator is already columnar, but the packet-level
-subsystems (flow meter, DPI sniffers, simulator event scheduling) run
-per-packet python loops. This package provides numpy batch kernels
-for those hot paths, selected by ``engine="vectorized"``; the
-per-packet python implementations stay the *determinism oracle* — a
-kernel either produces bit-identical observable state or detects the
-shapes it cannot handle and falls back to the oracle before mutating
-anything, so ``--engine`` can never change a digest.
+flow meter runs a per-packet python loop. This package provides a
+numpy batch kernel for that hot path, selected by
+``engine="vectorized"``; the per-packet python implementation stays
+the *determinism oracle* — the kernel either produces bit-identical
+observable state or detects the shapes it cannot handle and falls
+back to the oracle before mutating anything, so ``--engine`` can
+never change a digest.
 
 Modules
 -------
-``repro.kernels.sniff``
-    Batch protocol sniffers over a payload-prefix matrix, mirroring
-    ``repro.protocols.{tls,dns,http,quic,rtp}.looks_like_*`` byte for
-    byte.
 ``repro.kernels.flow``
     ``process_packet_batch`` — the batched flow-metering kernel used
     by :class:`repro.flowmeter.meter.FlowMeter` when constructed with

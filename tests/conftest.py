@@ -27,6 +27,15 @@ def small_frame(small_generator):
 
 
 @pytest.fixture(scope="session")
+def small_rollup(small_frame):
+    """The session frame folded into a rollup in one (day-aligned) chunk
+    — what every exact report reads."""
+    from repro.stream import StreamRollup
+
+    return StreamRollup.for_frame(small_frame).update(small_frame)
+
+
+@pytest.fixture(scope="session")
 def packet_sim_result():
     """A packet-level run of the full Figure 1 path."""
     return run_packet_simulation(

@@ -1,47 +1,46 @@
-"""Tests for the shared aggregation primitives."""
+"""Tests for the shared aggregation primitives and the rollup views
+the exact reports read (protocol shares, per-country breakdown)."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.aggregate import (
-    country_breakdown,
     customer_day_bytes,
     customer_day_flow_counts,
-    customers_per_country,
     dominant_resolver_per_customer,
     format_table,
     hourly_volume_utc,
     local_hour_of,
-    protocol_volume_share,
-    top_countries_by_volume,
 )
+from repro.analysis.reports import fig2_country, fig3_protocol_country, table1_protocols
+from repro.analysis.source import FrameSource
 from repro.internet.geo import COUNTRIES
 
 
-def test_protocol_volume_share_sums_to_100(small_frame):
-    shares = protocol_volume_share(small_frame)
+def test_protocol_volume_share_sums_to_100(small_rollup):
+    shares = table1_protocols.from_rollup(small_rollup).shares
     assert sum(shares.values()) == pytest.approx(100.0)
     assert all(v >= 0 for v in shares.values())
 
 
-def test_protocol_volume_share_with_mask(small_frame):
-    mask = small_frame.country_mask("Germany")
-    shares = protocol_volume_share(small_frame, mask)
+def test_protocol_volume_share_with_mask(small_frame, small_rollup):
+    shares = fig3_protocol_country.from_rollup(small_rollup).shares["Germany"]
     assert sum(shares.values()) == pytest.approx(100.0)
-    empty = protocol_volume_share(small_frame, np.zeros(len(small_frame), dtype=bool))
-    assert all(v == 0.0 for v in empty.values())
+    empty = small_frame.filter(np.zeros(len(small_frame), dtype=bool))
+    shares = table1_protocols.from_rollup(FrameSource(empty).to_rollup()).shares
+    assert all(v == 0.0 for v in shares.values())
 
 
-def test_country_breakdown_sorted_and_complete(small_frame):
-    rows = country_breakdown(small_frame)
+def test_country_breakdown_sorted_and_complete(small_rollup):
+    rows = fig2_country.from_rollup(small_rollup).rows
     volumes = [v for _, v, _ in rows]
     assert volumes == sorted(volumes, reverse=True)
     assert sum(volumes) == pytest.approx(100.0)
     assert sum(c for *_, c in rows) == pytest.approx(100.0)
 
 
-def test_top_countries(small_frame):
-    top = top_countries_by_volume(small_frame, 5)
+def test_top_countries(small_rollup):
+    top = list(fig3_protocol_country.from_rollup(small_rollup, top=5).shares)
     assert len(top) == 5
     assert top[0] == "Congo"
 
@@ -73,9 +72,9 @@ def test_customer_day_units(small_frame):
         customer_day_bytes(small_frame, "UK", direction="sideways")
 
 
-def test_customers_per_country_totals(small_frame):
-    per_country = customers_per_country(small_frame)
-    assert sum(per_country.values()) == len(np.unique(small_frame.customer_id))
+def test_customers_per_country_totals(small_frame, small_rollup):
+    per_country = small_rollup.customers_c()
+    assert per_country.sum() == len(np.unique(small_frame.customer_id))
 
 
 def test_dominant_resolver_majority(small_frame):

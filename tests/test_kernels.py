@@ -11,17 +11,9 @@ import numpy as np
 import pytest
 
 from repro.kernels import ENGINES, resolve_engine
-from repro.kernels.sniff import (
-    BATCH_SNIFFERS,
-    PREFIX_WIDTH,
-    SCALAR_ORACLES,
-    payload_prefixes,
-    sniff_matrix,
-)
 from repro.flowmeter.meter import FlowMeter
 from repro.net.packet import IPProtocol, Packet, TCPFlags
 from repro.protocols import dns as dnsproto
-from repro.protocols import tls as tlsproto
 
 # -- engine knob ------------------------------------------------------------
 
@@ -36,71 +28,6 @@ def test_resolve_engine_accepts_known_names():
 def test_resolve_engine_rejects_unknown(bad):
     with pytest.raises(ValueError):
         resolve_engine(bad)
-
-
-# -- batch sniffers ---------------------------------------------------------
-
-_CRAFTED = [
-    b"",
-    b"\x00",
-    b" GET",
-    b"GET",  # bare method, no space: matches (token is whole payload)
-    b"GET ",
-    b"GET / HTTP/1.1\r\n",
-    b"GETXY /",  # method prefix but longer token
-    b"GET\x00 rest",  # NUL inside token: token != method
-    b"OPTIONS * HTTP/1.1",
-    b"CONNECT host:443",
-    b"\x16\x03\x01\x00\x05hello",  # TLS handshake record
-    b"\x17\x03\x03\x00\x01x",  # TLS appdata
-    b"\x16\x04\x01xxxx",  # wrong version major
-    b"\x16\x03",  # too short
-    b"\x80\x00\x00\x00\x01" + b"x" * 8,  # long-header QUIC without fixed bit
-    b"\xc0\x00\x00\x00\x01" + b"x" * 8,  # QUIC v1 Initial
-    b"\xc0\x00\x00\x00\x02" + b"x" * 8,  # unknown version
-    b"\x40" + b"x" * 12,  # short-header QUIC / also RTP-length
-    b"\x80" + b"x" * 11,  # RTP version bits
-    b"\x80" + b"x" * 2,  # too short for RTP
-    dnsproto.encode_query(7, "edge.example.com"),
-    tlsproto.client_hello("example.com")
-    if hasattr(tlsproto, "client_hello")
-    else b"\x16\x03\x01\x00\x00",
-]
-
-
-def _random_payloads(n=4000, seed=0):
-    rng = np.random.default_rng(seed)
-    payloads = []
-    for _ in range(n):
-        size = int(rng.integers(0, PREFIX_WIDTH + 8))
-        payloads.append(bytes(rng.integers(0, 256, size, dtype=np.uint8)))
-    return payloads
-
-
-@pytest.mark.parametrize("name", sorted(BATCH_SNIFFERS))
-def test_batch_sniffers_match_scalar_oracles(name):
-    payloads = _CRAFTED + _random_payloads()
-    prefixes, lengths = payload_prefixes(payloads)
-    got = BATCH_SNIFFERS[name](prefixes, lengths)
-    want = np.array([bool(SCALAR_ORACLES[name](p)) for p in payloads])
-    differs = np.nonzero(got != want)[0]
-    assert differs.size == 0, (
-        f"{name} disagrees on payloads {[payloads[i] for i in differs[:5]]!r}"
-    )
-
-
-def test_sniff_matrix_runs_all_protocols():
-    result = sniff_matrix([b"GET / HTTP/1.1", b"\x16\x03\x01\x00\x05hello"])
-    assert set(result) == set(BATCH_SNIFFERS)
-    assert result["http"][0] and not result["http"][1]
-    assert result["tls"][1] and not result["tls"][0]
-
-
-def test_payload_prefixes_pads_and_measures():
-    prefixes, lengths = payload_prefixes([b"", b"abc", b"z" * 64])
-    assert prefixes.shape == (3, PREFIX_WIDTH)
-    assert lengths.tolist() == [0, 3, 64]
-    assert prefixes[1, :4].tolist() == [ord("a"), ord("b"), ord("c"), 0]
 
 
 # -- flow meter equivalence -------------------------------------------------

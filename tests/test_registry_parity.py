@@ -4,13 +4,15 @@ Parametrized over :mod:`repro.analysis.registry`, so a newly
 registered report is covered automatically:
 
 * **store parity** — every report renders byte-identically from the
-  spilled capture (column-projected window reads) and from the fully
-  materialized frame. This also proves each spec's declared
-  ``columns`` cover everything its ``compute`` touches.
-* **rollup parity** — reports flagged ``exact_parity`` render
-  byte-identically from the sketches; binned reports must agree on
-  table structure and row labels (their quantiles interpolate inside
-  histogram bins, checked numerically below).
+  spilled capture (column-projected window reads, or the saved rollup)
+  and from the fully materialized frame. This also proves each frame
+  path's declared ``columns`` cover everything its ``compute`` touches.
+* **rollup parity** — the exact reports have only the rollup path, so
+  a fold of the frame and the window-by-window saved rollup render the
+  same bytes; binned reports must agree on table structure and row
+  labels (their quantiles interpolate inside histogram bins, checked
+  numerically below). ``test_report_oracle`` checks the exact reports
+  against per-flow numpy group-bys.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from repro.cli import main
 registry.ensure_loaded()
 ALL_REPORTS = registry.names()
 ROLLUP_CAPABLE = [s.name for s in registry.specs() if s.compute_rollup]
-EXACT = {s.name for s in registry.specs() if s.exact_parity}
+#: The reports whose sketches are exact: they register only the rollup
+#: path, and a frame or store source folds into it.
+EXACT = {"table1", "fig2", "fig3", "fig6", "table2", "fig12"}
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +69,14 @@ def test_rollup_parity(name, sources):
 
 
 def test_exact_set_is_what_we_promise():
-    """figs 6 + tables 1/2 of the newly sketched reports are exact;
-    drop this pin consciously if a sketch changes."""
-    assert {"table1", "fig2", "fig3", "fig6", "table2"} <= EXACT
+    """The exact reports are rollup-only and still run from every source
+    kind; change this pin consciously if a sketch changes."""
+    rollup_only = {s.name for s in registry.specs() if s.compute_frame is None}
+    assert rollup_only == EXACT
+    for name in EXACT:
+        spec = registry.get(name)
+        assert spec.columns == ()
+        assert spec.sources == registry.SOURCE_KINDS
 
 
 # --- numeric tolerance for the binned sketches ----------------------------

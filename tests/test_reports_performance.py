@@ -142,8 +142,8 @@ def test_fig10_median_response_times(fig10):
 
 
 @pytest.fixture(scope="module")
-def table2(small_frame):
-    return table2_resolver_rtt.compute(small_frame, min_samples=3)
+def table2(small_rollup):
+    return table2_resolver_rtt.from_rollup(small_rollup, min_samples=3)
 
 
 def test_table2_resolver_changes_rtt_for_nigeria(table2):

@@ -8,8 +8,8 @@ from repro.traffic.services import ServiceCategory
 
 
 @pytest.fixture(scope="module")
-def fig6(small_frame):
-    return fig6_service_popularity.compute(small_frame)
+def fig6(small_rollup):
+    return fig6_service_popularity.from_rollup(small_rollup)
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.aggregate import (
     fold_video_sessions,
     local_hour_of,
-    table2_group_of_flows,
+    table2_group_of_domains,
 )
 from repro.analysis.classify import FIG7_CATEGORIES
 from repro.constants import (
@@ -221,7 +221,8 @@ def reference_fold(rollup: StreamRollup, frame) -> StreamRollup:
         resp_ok = dns & np.isfinite(frame.dns_response_ms)
         _ref_update(rollup.h10_resp, res[resp_ok], frame.dns_response_ms[resp_ok])
         ng = len(rollup.t2_groups)
-        group = table2_group_of_flows(frame).astype(np.int64)
+        pool_group = np.append(table2_group_of_domains(frame.domains), -1)
+        group = pool_group[frame.domain_idx].astype(np.int64)
         rtt_ok = np.isfinite(frame.ground_rtt_ms) & (group >= 0)
         relevant = np.flatnonzero(dns | rtt_ok)
         if len(relevant):

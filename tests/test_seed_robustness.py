@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.reports import fig8_satellite_rtt, table1_protocols
+from repro.analysis.source import FrameSource
 from repro.traffic.workload import WorkloadConfig, WorkloadGenerator
 
 
@@ -14,7 +15,7 @@ def test_headline_shapes_across_seeds(seed):
         WorkloadConfig(n_customers=250, days=2, seed=seed)
     ).generate()
 
-    table1 = table1_protocols.compute(frame)
+    table1 = table1_protocols.from_rollup(FrameSource(frame).to_rollup())
     assert table1.share("tcp/https") > table1.share("udp/quic")
     assert table1.share("udp/dns") < 0.1
 

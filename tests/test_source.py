@@ -149,6 +149,42 @@ def test_store_rollup_fold_fallback(capture_dir, tmp_path):
     assert folded.state_digest() == saved.state_digest()
 
 
+def test_store_rollup_refolds_when_saved_state_lags_the_windows(capture_dir, tmp_path):
+    """A kill between spill and save (``stream:w1:spilled``) leaves two
+    stored windows and a rollup that folded one. Every report, whichever
+    path it takes, must then describe the two stored windows."""
+    import shutil
+
+    from repro.analysis import registry
+    from repro.stream import StreamRollup
+    from repro.stream.checkpoint import rollup_path
+
+    copy = tmp_path / "cap-torn"
+    shutil.copytree(capture_dir, copy)
+    source = load_capture(copy)
+    pools = source.store.pools
+    lagging = StreamRollup(pools["countries"], pools["services"], pools["resolvers"])
+    lagging.update(source.store.read_window(0))
+    lagging.save(rollup_path(copy))
+    assert source.store.stored_window_count() == 2
+
+    rollup = load_capture(copy).to_rollup()
+    assert rollup.windows_folded == 2
+    assert rollup.state_digest() == load_capture(capture_dir).to_rollup().state_digest()
+    flows = FrameSource(source.to_frame())
+    for name in ("table1", "fig2", "fig4"):
+        assert registry.run(name, load_capture(copy)) == registry.run(name, flows)
+    for name in ("table1", "fig2"):  # exact: what stream-report prints too
+        assert registry.run(name, load_capture(copy), prefer="rollup") == (
+            registry.run(name, flows)
+        )
+
+
+def test_sources_fold_once(frame_npz, capture_dir):
+    for source in (load_capture(frame_npz), load_capture(capture_dir)):
+        assert source.to_rollup() is source.to_rollup()
+
+
 def test_rollup_source(capture_dir):
     source = load_capture(capture_dir / "rollup.npz")
     assert isinstance(source, RollupSource)

@@ -46,6 +46,7 @@ from repro.stream import (
 )
 from repro.stream.checkpoint import write_checkpoint
 from repro.traffic.workload import WorkloadConfig, WorkloadGenerator
+from test_report_oracle import fig2_oracle, fig3_oracle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TINY = WorkloadConfig(n_customers=80, days=3, seed=9)
@@ -68,12 +69,6 @@ def tiny_frames():
     producer = WindowedProducer(WorkloadGenerator(TINY), 1)
     frames = [producer.generate_window(w) for w in producer.windows]
     return frames
-
-
-@pytest.fixture(scope="module")
-def small_rollup(small_frame):
-    """The session frame folded into a rollup in one (day-aligned) chunk."""
-    return StreamRollup.for_frame(small_frame).update(small_frame)
 
 
 # -- window planning --------------------------------------------------------
@@ -286,7 +281,7 @@ def test_rollup_totals_match_frame(tiny_frames):
 
 
 def test_fig2_from_rollup_matches_frame(small_frame, small_rollup):
-    from_frame = fig2_country.compute(small_frame)
+    from_frame = fig2_oracle(small_frame)
     from_roll = fig2_country.from_rollup(small_rollup)
     assert [r[0] for r in from_roll.rows] == [r[0] for r in from_frame.rows]
     for (_, va, ca), (_, vb, cb) in zip(from_roll.rows, from_frame.rows):
@@ -295,7 +290,7 @@ def test_fig2_from_rollup_matches_frame(small_frame, small_rollup):
 
 
 def test_fig3_from_rollup_matches_frame(small_frame, small_rollup):
-    from_frame = fig3_protocol_country.compute(small_frame)
+    from_frame = fig3_oracle(small_frame)
     from_roll = fig3_protocol_country.from_rollup(small_rollup)
     assert set(from_roll.shares) == set(from_frame.shares)
     for country, shares in from_roll.shares.items():

@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis.dataset import _ARRAY_FIELDS, _POOL_FIELDS, FlowFrame
 from repro.analysis.reports import fig12_video_qoe
+from repro.analysis.source import FrameSource
 from repro.flowmeter.records import L7Protocol, L7_ORDER
 from repro.scenario import get_scenario
 from repro.stream import FlowStore, StreamRollup, WindowEntry, run_stream_capture
@@ -118,8 +119,8 @@ def test_shaped_scenario_lowers_mean_level(video_frame):
     shaped_frame = (
         _video_scenario(name="shaped-vs-unshaped").build_generator().generate()
     )
-    unshaped = fig12_video_qoe.compute(video_frame)
-    shaped = fig12_video_qoe.compute(shaped_frame)
+    unshaped = fig12_video_qoe.from_rollup(FrameSource(video_frame).to_rollup())
+    shaped = fig12_video_qoe.from_rollup(FrameSource(shaped_frame).to_rollup())
     assert shaped.total_sessions() > 0
     level_unshaped = float(unshaped.level_sum.sum() / unshaped.total_sessions())
     level_shaped = float(shaped.level_sum.sum() / shaped.total_sessions())
@@ -132,7 +133,8 @@ def test_shaped_scenario_lowers_mean_level(video_frame):
 def test_stream_capture_parity_across_workers_and_depths(tmp_path):
     """The same video capture, streamed under different worker counts
     and pipeline depths, spills identical windows and rollups, and
-    fig12 renders identically from the rollup and the frame path."""
+    fig12 renders identically from the saved rollup and from a fold of
+    the spilled flows."""
     digests = []
     renders = []
     for label, overrides in (
@@ -150,12 +152,12 @@ def test_stream_capture_parity_across_workers_and_depths(tmp_path):
         assert int(result.rollup.qoe_sessions.sum()) > 0
     assert digests[0] == digests[1]
     assert renders[0] == renders[1]
-    # rollup path == frame path over the same spilled capture, byte for
-    # byte (the exact_parity contract)
+    # the window-by-window fold == one fold of the spilled flows, byte
+    # for byte
     store = FlowStore.open(tmp_path / "w1")
     streamed = FlowFrame.concat([w for _, w in store.iter_windows()])
-    frame_render = fig12_video_qoe.render(fig12_video_qoe.compute(streamed))
-    assert renders[0] == frame_render
+    rollup = FrameSource(streamed).to_rollup()
+    assert renders[0] == fig12_video_qoe.render(fig12_video_qoe.from_rollup(rollup))
 
 
 def test_rollup_qoe_merge_matches_single_fold(video_frame):
@@ -174,7 +176,7 @@ def test_rollup_qoe_merge_matches_single_fold(video_frame):
     np.testing.assert_allclose(
         whole.qoe_rebuffer_sum, first.qoe_rebuffer_sum, rtol=1e-12
     )
-    assert whole.qoe_sessions.sum() == fig12_video_qoe.compute(frame).total_sessions()
+    assert np.array_equal(whole.qoe_sessions, FrameSource(frame).to_rollup().qoe_sessions)
 
 
 # -- old-capture backfill -------------------------------------------------
