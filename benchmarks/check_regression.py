@@ -6,14 +6,12 @@ Usage::
         --benchmark-json=/tmp/bench.json
     python benchmarks/check_regression.py /tmp/bench.json
 
-Collects guard rows from ``BENCH_parallel.json``'s ``regression_guard``
-block (a single row or a list of rows) and the ``regression_guards``
-lists of ``BENCH_stream.json``, ``BENCH_fleet.json`` and
-``BENCH_serve.json``, compares each row's benchmark mean against
-``baseline_mean_ms``, and exits non-zero when any slowdown exceeds that
-row's ``max_slowdown``. The factors are deliberately loose (2x+) so
-shared-runner noise does not flake the build; a genuine hot-path
-regression blows well past them.
+Reads the guard rows of ``benchmarks/guards.json`` (``benchmark``,
+``baseline_mean_ms``, ``max_slowdown``, ``note``), compares each row's
+benchmark mean against ``baseline_mean_ms``, and exits non-zero when
+any slowdown exceeds that row's ``max_slowdown``. The factors are
+deliberately loose (2x+) so shared-runner noise does not flake the
+build; a genuine hot-path regression blows well past them.
 """
 
 from __future__ import annotations
@@ -22,21 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_guards() -> list[dict]:
-    guards: list[dict] = []
-    parallel = json.loads((REPO_ROOT / "BENCH_parallel.json").read_text())
-    block = parallel.get("regression_guard", [])
-    guards.extend(block if isinstance(block, list) else [block])
-    stream = json.loads((REPO_ROOT / "BENCH_stream.json").read_text())
-    guards.extend(stream.get("regression_guards", []))
-    fleet = json.loads((REPO_ROOT / "BENCH_fleet.json").read_text())
-    guards.extend(fleet.get("regression_guards", []))
-    serve = json.loads((REPO_ROOT / "BENCH_serve.json").read_text())
-    guards.extend(serve.get("regression_guards", []))
-    return guards
+GUARDS = Path(__file__).resolve().parent / "guards.json"
 
 
 def main(argv: list[str]) -> int:
@@ -45,9 +29,9 @@ def main(argv: list[str]) -> int:
         return 2
     results = json.loads(Path(argv[1]).read_text())
     by_name = {bench["name"]: bench for bench in results["benchmarks"]}
-    guards = _load_guards()
+    guards = json.loads(GUARDS.read_text())
     if not guards:
-        print("error: no regression guards recorded in the BENCH files")
+        print(f"error: no regression guards recorded in {GUARDS}")
         return 2
     failed = False
     for guard in guards:

@@ -49,8 +49,8 @@ def test_micro_flowmeter_throughput(benchmark):
 @pytest.mark.benchmark(group="micro")
 def test_micro_flowmeter_vectorized(benchmark):
     """Same stream as the python micro above, through the batch kernel.
-    The ratio of the two means is the kernel speedup the BENCH files
-    record; identity of the outputs is tests/test_kernels.py's job."""
+    The ratio of the two means is the kernel speedup; identity of the
+    outputs is tests/test_kernels.py's job."""
     packets = _packet_stream()
 
     def run():

@@ -3,8 +3,7 @@
 Run by the CI ``stream`` job. Unlike the figure benchmarks this does
 not consume the shared session capture — the whole point is to produce
 its own windows, kill the run between two of them, and prove the
-resumed capture is bit-identical to the uninterrupted one. Measured
-numbers for this machine class are recorded in ``BENCH_stream.json``.
+resumed capture is bit-identical to the uninterrupted one.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ SMOKE_CONFIG = get_scenario("baseline-geo").with_overrides(
     }
 ).stream_config()
 
-#: Deliberately loose floor (shared CI runners are noisy); the recorded
-#: number in BENCH_stream.json is ~10x this.
+#: Deliberately loose floor (shared CI runners are noisy); a one-core
+#: run measures ~10x this.
 MIN_FLOWS_PER_S = 20_000
 
 

@@ -37,7 +37,9 @@ A scenario can be loaded from TOML or JSON (sparse: unspecified fields
 keep the baseline defaults), overridden with dotted ``--set`` paths
 (override precedence beats file values), and is validated field by
 field with **path-qualified** :class:`ScenarioError` messages
-(``beams.utilization_scale: must be > 0``).
+(``beams.utilization_scale: must be in (0, 3]``). Each section field
+declares its own rule (:func:`rule`: a bound, a known-name set, a
+distribution spec) and one walk, :func:`_check_section`, checks the tree.
 
 :meth:`Scenario.digest` is *the* cache identity of the capture the
 scenario generates. When every model section sits at the baseline
@@ -60,6 +62,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import (
@@ -76,7 +79,9 @@ from typing import (
 )
 
 from repro.constants import ALOHA_SLOT_S, TDMA_FRAME_S
+from repro.faults import FAULT_PROFILES
 from repro.internet.geo import COUNTRIES, SATELLITE_LONGITUDE_DEG
+from repro.kernels import ENGINES
 from repro.satcom.beams import Beam, BeamMap, build_default_beam_map
 from repro.satcom.channel import ChannelModel
 from repro.satcom.constellation import ConstellationModel
@@ -103,38 +108,133 @@ class ScenarioError(ValueError):
 
 
 # --------------------------------------------------------------------------
+# Field rules (declared on each section field, checked by one walk)
+# --------------------------------------------------------------------------
+
+
+def _parse_bound(text: str) -> Optional[Tuple[Any, bool, Any, bool]]:
+    """``(low, low_closed, high, high_closed)``; an end is a number, the
+    name of a sibling field, or ``None`` (unbounded)."""
+    if not text:
+        return None
+    match = re.fullmatch(r"(>=?) (\S+)", text)
+    if match:
+        return _end(match[2]), match[1] == ">=", None, True
+    match = re.fullmatch(r"in ([\[(])([^,]+), ([^\])]+)([\])])", text)
+    if match is None:
+        raise ValueError(f"unparseable field bound {text!r}")
+    return _end(match[2]), match[1] == "[", _end(match[3]), match[4] == "]"
+
+
+def _end(token: str) -> Union[float, str]:
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
+def rule(
+    default: Any = dataclasses.MISSING,
+    bound: str = "",
+    *,
+    known: Optional[Tuple[str, Tuple[str, ...]]] = None,
+    spec: bool = False,
+    nonempty: bool = False,
+    factory: Any = dataclasses.MISSING,
+) -> Any:
+    """A section field that declares the rule :func:`_check_section` holds it to.
+
+    ``bound`` is the text after "must be" in the error message: ``> 0``,
+    ``>= 1``, ``in (0, 3]``, ``in [0, 1)``; an end may name a sibling
+    field (``>= chunk_s``). ``known=(noun, names)`` bounds the value, a
+    tuple's elements or a mapping's keys to a named set (a string
+    field's own default is always accepted, so an empty default reads as
+    unset). ``spec`` marks distribution spec strings; ``nonempty`` a
+    field that may not be empty. Tuple elements and mapping values are
+    each held to ``bound`` and ``spec``.
+    """
+    accepted = frozenset(known[1]) if known else frozenset()
+    if known and isinstance(default, str):
+        accepted |= {default}
+    metadata = {
+        "bound": bound,
+        "ends": _parse_bound(bound),
+        "known": known,
+        "accepted": accepted,
+        "spec": spec,
+        "nonempty": nonempty,
+    }
+    return field(default=default, default_factory=factory, metadata=metadata)
+
+
+def _within(value: float, ends: Tuple[Any, bool, Any, bool], section: Any) -> bool:
+    low, low_closed, high, high_closed = ends
+    low, high = (getattr(section, e) if isinstance(e, str) else e for e in (low, high))
+    return (low is None or value > low or (low_closed and value == low)) and (
+        high is None or value < high or (high_closed and value == high)
+    )
+
+
+def _check_section(section: Any, path: str) -> None:
+    """Hold every field of ``section`` (nested sections included) to its
+    declared rule, then run the section's cross-field ``_check``."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        where = f"{path}.{f.name}"
+        if dataclasses.is_dataclass(value):
+            _check_section(value, where)
+        elif f.metadata and value is not None:
+            _check_field(section, f.metadata, value, where)
+    check = getattr(section, "_check", None)
+    if check is not None:
+        check(path)
+
+
+def _check_field(section: Any, meta: Mapping[str, Any], value: Any, path: str) -> None:
+    if meta["nonempty"] and not value:
+        raise ScenarioError(path, "must not be empty")
+    if isinstance(value, dict):
+        items = [(key, item, f"{path}.{key}") for key, item in value.items()]
+    else:
+        elements = value if isinstance(value, tuple) else (value,)
+        items = [(item, item, path) for item in elements]
+    for name, item, where in items:
+        if meta["known"] and name not in meta["accepted"]:
+            noun, names = meta["known"]
+            raise ScenarioError(
+                where, f"unknown {noun} {name!r} (known: {', '.join(names)})"
+            )
+        if meta["ends"] and not _within(item, meta["ends"], section):
+            raise ScenarioError(where, f"must be {meta['bound']}")
+        if meta["spec"]:
+            try:
+                parse_spec(item)
+            except DistributionError as exc:
+                raise ScenarioError(where, str(exc)) from exc
+
+
+# --------------------------------------------------------------------------
 # Sections
 # --------------------------------------------------------------------------
+
+_DEFAULT_BEAMS = build_default_beam_map().beams
+_BEAM_IDS = tuple(sorted(beam.beam_id for beam in _DEFAULT_BEAMS))
+
+#: Scenario-facing category keys → :class:`ServiceCategory`.
+_CATEGORY_KEYS: Dict[str, ServiceCategory] = {
+    category.name.lower(): category for category in ServiceCategory
+}
 
 
 @dataclass(frozen=True)
 class GeometrySpec:
     """Orbital regime: the monitored GEO bird, or a LEO shell."""
 
-    orbit: str = "geo"
-    satellite_longitude_deg: float = SATELLITE_LONGITUDE_DEG
-    leo_altitude_km: float = 550.0
-    leo_min_elevation_deg: float = 25.0
-    leo_typical_elevation_deg: float = 50.0
-
-    def _validate(self, path: str) -> None:
-        if self.orbit not in ("geo", "leo"):
-            raise ScenarioError(f"{path}.orbit", "must be 'geo' or 'leo'")
-        if not -180.0 <= self.satellite_longitude_deg <= 180.0:
-            raise ScenarioError(
-                f"{path}.satellite_longitude_deg", "must be in [-180, 180]"
-            )
-        if not 200.0 <= self.leo_altitude_km <= 2000.0:
-            raise ScenarioError(f"{path}.leo_altitude_km", "must be in [200, 2000]")
-        if not 5.0 <= self.leo_min_elevation_deg < 90.0:
-            raise ScenarioError(
-                f"{path}.leo_min_elevation_deg", "must be in [5, 90)"
-            )
-        if not self.leo_min_elevation_deg <= self.leo_typical_elevation_deg <= 90.0:
-            raise ScenarioError(
-                f"{path}.leo_typical_elevation_deg",
-                "must be in [leo_min_elevation_deg, 90]",
-            )
+    orbit: str = rule("geo", known=("orbit", ("geo", "leo")))
+    satellite_longitude_deg: float = rule(SATELLITE_LONGITUDE_DEG, "in [-180, 180]")
+    leo_altitude_km: float = rule(550.0, "in [200, 2000]")
+    leo_min_elevation_deg: float = rule(25.0, "in [5, 90)")
+    leo_typical_elevation_deg: float = rule(50.0, "in [leo_min_elevation_deg, 90]")
 
 
 @dataclass(frozen=True)
@@ -150,88 +250,40 @@ class ConstellationSpec:
     and flows starting inside the post-handover window pay the spike.
     """
 
-    mode: str = "static"
-    altitudes_km: Tuple[float, ...] = (550.0,)
-    satellites_per_shell: Tuple[int, ...] = (1584,)
-    min_elevation_deg: float = 25.0
+    mode: str = rule("static", known=("mode", ("static", "orbital")))
+    altitudes_km: Tuple[float, ...] = rule((550.0,), "in [200, 2000]", nonempty=True)
+    satellites_per_shell: Tuple[int, ...] = rule((1584,), ">= 1")
+    min_elevation_deg: float = rule(25.0, "in [5, 90)")
     bent_pipe: bool = True
-    reconfiguration_s: float = 15.0
-    handover_window_s: float = 1.0
-    handover_penalty_ms: float = 8.0
+    reconfiguration_s: float = rule(15.0, "> 0")
+    handover_window_s: float = rule(1.0, "in [0, reconfiguration_s]")
+    handover_penalty_ms: float = rule(8.0, ">= 0")
 
-    def _validate(self, path: str) -> None:
-        if self.mode not in ("static", "orbital"):
-            raise ScenarioError(f"{path}.mode", "must be 'static' or 'orbital'")
-        if not self.altitudes_km:
-            raise ScenarioError(f"{path}.altitudes_km", "must not be empty")
-        for altitude in self.altitudes_km:
-            if not 200.0 <= altitude <= 2000.0:
-                raise ScenarioError(
-                    f"{path}.altitudes_km", "every shell must be in [200, 2000]"
-                )
+    def _check(self, path: str) -> None:
         if len(self.satellites_per_shell) != len(self.altitudes_km):
             raise ScenarioError(
                 f"{path}.satellites_per_shell",
                 "must have one entry per shell in altitudes_km",
             )
-        for count in self.satellites_per_shell:
-            if count < 1:
-                raise ScenarioError(
-                    f"{path}.satellites_per_shell", "every shell needs >= 1 satellite"
-                )
-        if not 5.0 <= self.min_elevation_deg < 90.0:
-            raise ScenarioError(f"{path}.min_elevation_deg", "must be in [5, 90)")
-        if self.reconfiguration_s <= 0.0:
-            raise ScenarioError(f"{path}.reconfiguration_s", "must be > 0")
-        if not 0.0 <= self.handover_window_s <= self.reconfiguration_s:
-            raise ScenarioError(
-                f"{path}.handover_window_s", "must be in [0, reconfiguration_s]"
-            )
-        if self.handover_penalty_ms < 0.0:
-            raise ScenarioError(f"{path}.handover_penalty_ms", "must be >= 0")
-
-
-#: Default-section payload; the digest only carries ``constellation``
-#: when a scenario moves off this, so pre-refactor digests are stable.
-_BASELINE_CONSTELLATION_PAYLOAD: Dict[str, Any] = {
-    f.name: (
-        list(getattr(ConstellationSpec(), f.name))
-        if isinstance(getattr(ConstellationSpec(), f.name), tuple)
-        else getattr(ConstellationSpec(), f.name)
-    )
-    for f in fields(ConstellationSpec)
-}
 
 
 @dataclass(frozen=True)
 class BeamsSpec:
     """Transformations of the default beam plan (Section 6.1)."""
 
-    utilization_scale: float = 1.0
-    pep_scale: float = 1.0
-    outages: Tuple[str, ...] = ()
-    load_cap: float = 0.97
+    utilization_scale: float = rule(1.0, "in (0, 3]")
+    pep_scale: float = rule(1.0, "in (0, 3]")
+    outages: Tuple[str, ...] = rule((), known=("beam", _BEAM_IDS))
+    load_cap: float = rule(0.97, "in (0, 1)")
     """Loads are clipped here after scaling (``Beam`` requires < 1)."""
 
-    def _validate(self, path: str) -> None:
-        if not 0.0 < self.utilization_scale <= 3.0:
-            raise ScenarioError(f"{path}.utilization_scale", "must be in (0, 3]")
-        if not 0.0 < self.pep_scale <= 3.0:
-            raise ScenarioError(f"{path}.pep_scale", "must be in (0, 3]")
-        if not 0.0 < self.load_cap < 1.0:
-            raise ScenarioError(f"{path}.load_cap", "must be in (0, 1)")
-        known = {beam.beam_id for beam in build_default_beam_map().beams}
-        for beam_id in self.outages:
-            if beam_id not in known:
-                raise ScenarioError(
-                    f"{path}.outages",
-                    f"unknown beam {beam_id!r} (known: {', '.join(sorted(known))})",
-                )
-        by_country: Dict[str, List[str]] = {}
-        for beam in build_default_beam_map().beams:
-            by_country.setdefault(beam.country, []).append(beam.beam_id)
-        for country, ids in by_country.items():
-            if all(beam_id in self.outages for beam_id in ids):
+    def _check(self, path: str) -> None:
+        for country in dict.fromkeys(beam.country for beam in _DEFAULT_BEAMS):
+            if all(
+                beam.beam_id in self.outages
+                for beam in _DEFAULT_BEAMS
+                if beam.country == country
+            ):
                 raise ScenarioError(
                     f"{path}.outages",
                     f"cannot take every beam of {country} out of service",
@@ -242,80 +294,38 @@ class BeamsSpec:
 class MacSpec:
     """Return-link MAC framing plus the SatCom stack's processing delays."""
 
-    tdma_frame_s: float = TDMA_FRAME_S
-    max_queue_frames: float = 10.0
-    aloha_slot_s: float = ALOHA_SLOT_S
-    reservation_rtt_s: float = 0.52
-    max_backoff_slots: int = 64
-    contention_fraction: float = 0.12
-    base_processing_s: float = 0.020
-    terminal_median_s: float = 0.030
-    terminal_sigma: float = 0.85
-    stack_jitter_median_s: float = 0.095
-    stack_jitter_sigma: float = 1.0
-
-    def _validate(self, path: str) -> None:
-        for name in (
-            "tdma_frame_s",
-            "aloha_slot_s",
-            "reservation_rtt_s",
-            "terminal_median_s",
-            "stack_jitter_median_s",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ScenarioError(f"{path}.{name}", "must be > 0")
-        for name in ("base_processing_s", "terminal_sigma", "stack_jitter_sigma"):
-            if getattr(self, name) < 0.0:
-                raise ScenarioError(f"{path}.{name}", "must be >= 0")
-        if self.max_queue_frames <= 0.0:
-            raise ScenarioError(f"{path}.max_queue_frames", "must be > 0")
-        if self.max_backoff_slots < 1:
-            raise ScenarioError(f"{path}.max_backoff_slots", "must be >= 1")
-        if not 0.0 <= self.contention_fraction <= 1.0:
-            raise ScenarioError(f"{path}.contention_fraction", "must be in [0, 1]")
+    tdma_frame_s: float = rule(TDMA_FRAME_S, "> 0")
+    max_queue_frames: float = rule(10.0, "> 0")
+    aloha_slot_s: float = rule(ALOHA_SLOT_S, "> 0")
+    reservation_rtt_s: float = rule(0.52, "> 0")
+    max_backoff_slots: int = rule(64, ">= 1")
+    contention_fraction: float = rule(0.12, "in [0, 1]")
+    base_processing_s: float = rule(0.020, ">= 0")
+    terminal_median_s: float = rule(0.030, "> 0")
+    terminal_sigma: float = rule(0.85, ">= 0")
+    stack_jitter_median_s: float = rule(0.095, "> 0")
+    stack_jitter_sigma: float = rule(1.0, ">= 0")
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
     """Residual FEC error / ARQ recovery (Ireland's edge-of-coverage tail)."""
 
-    floor_probability: float = 0.002
-    edge_probability: float = 0.55
-    reference_elevation_deg: float = 20.0
-    decay_deg: float = 3.5
-    arq_rtt_s: float = 0.52
-
-    def _validate(self, path: str) -> None:
-        if not 0.0 <= self.floor_probability < 1.0:
-            raise ScenarioError(f"{path}.floor_probability", "must be in [0, 1)")
-        if not 0.0 <= self.edge_probability <= 1.0:
-            raise ScenarioError(f"{path}.edge_probability", "must be in [0, 1]")
-        if self.reference_elevation_deg < 0.0:
-            raise ScenarioError(f"{path}.reference_elevation_deg", "must be >= 0")
-        if self.decay_deg <= 0.0:
-            raise ScenarioError(f"{path}.decay_deg", "must be > 0")
-        if self.arq_rtt_s <= 0.0:
-            raise ScenarioError(f"{path}.arq_rtt_s", "must be > 0")
+    floor_probability: float = rule(0.002, "in [0, 1)")
+    edge_probability: float = rule(0.55, "in [0, 1]")
+    reference_elevation_deg: float = rule(20.0, ">= 0")
+    decay_deg: float = rule(3.5, "> 0")
+    arq_rtt_s: float = rule(0.52, "> 0")
 
 
 @dataclass(frozen=True)
 class PepSpec:
     """PEP processing saturation (Section 6.1's congestion mechanism)."""
 
-    setup_scale_s: float = 0.080
-    setup_sigma: float = 1.1
-    forward_scale_s: float = 0.010
-    max_load_ratio: float = 10.0
-
-    def _validate(self, path: str) -> None:
-        if self.setup_scale_s < 0.0:
-            raise ScenarioError(f"{path}.setup_scale_s", "must be >= 0")
-        if self.setup_sigma < 0.0:
-            raise ScenarioError(f"{path}.setup_sigma", "must be >= 0")
-        if self.forward_scale_s < 0.0:
-            raise ScenarioError(f"{path}.forward_scale_s", "must be >= 0")
-        if self.max_load_ratio <= 0.0:
-            raise ScenarioError(f"{path}.max_load_ratio", "must be > 0")
+    setup_scale_s: float = rule(0.080, ">= 0")
+    setup_sigma: float = rule(1.1, ">= 0")
+    forward_scale_s: float = rule(0.010, ">= 0")
+    max_load_ratio: float = rule(10.0, "> 0")
 
 
 @dataclass(frozen=True)
@@ -326,34 +336,27 @@ class QosSpec:
     and does not shape the generated flows.
     """
 
-    link_rate_bps: float = 20e6
-    duration_s: float = 20.0
+    link_rate_bps: float = rule(20e6, "> 0")
+    duration_s: float = rule(20.0, "> 0")
     seed: int = 0
-    video_shape_bps: Optional[float] = 6e6
-
-    def _validate(self, path: str) -> None:
-        if self.link_rate_bps <= 0.0:
-            raise ScenarioError(f"{path}.link_rate_bps", "must be > 0")
-        if self.duration_s <= 0.0:
-            raise ScenarioError(f"{path}.duration_s", "must be > 0")
-        if self.video_shape_bps is not None and self.video_shape_bps <= 0.0:
-            raise ScenarioError(f"{path}.video_shape_bps", "must be > 0 or null")
+    video_shape_bps: Optional[float] = rule(6e6, "> 0")
 
 
-def _default_mix(continent: str) -> Dict[str, float]:
-    return dict(PLAN_MIX_BY_CONTINENT[continent])
+def _plan_mix(continent: str) -> Any:
+    return rule(
+        bound="> 0",
+        known=("plan", tuple(PLANS)),
+        nonempty=True,
+        factory=lambda: dict(PLAN_MIX_BY_CONTINENT[continent]),
+    )
 
 
 @dataclass(frozen=True)
 class PlansSpec:
     """Commercial plan adoption per continent (Section 6.5)."""
 
-    europe_mix: Dict[str, float] = field(
-        default_factory=lambda: _default_mix("Europe")
-    )
-    africa_mix: Dict[str, float] = field(
-        default_factory=lambda: _default_mix("Africa")
-    )
+    europe_mix: Dict[str, float] = _plan_mix("Europe")
+    africa_mix: Dict[str, float] = _plan_mix("Africa")
 
     def __post_init__(self) -> None:
         # Canonical plan-catalog order: the mix feeds an rng.choice over
@@ -365,22 +368,6 @@ class PlansSpec:
             ordered.update({plan: mix[plan] for plan in mix if plan not in PLANS})
             object.__setattr__(self, name, ordered)
 
-    def _validate(self, path: str) -> None:
-        for name in ("europe_mix", "africa_mix"):
-            mix = getattr(self, name)
-            if not mix:
-                raise ScenarioError(f"{path}.{name}", "must not be empty")
-            for plan, weight in mix.items():
-                if plan not in PLANS:
-                    raise ScenarioError(
-                        f"{path}.{name}.{plan}",
-                        f"unknown plan (known: {', '.join(PLANS)})",
-                    )
-                if weight <= 0.0:
-                    raise ScenarioError(
-                        f"{path}.{name}.{plan}", "weight must be > 0"
-                    )
-
     def mix_by_continent(self) -> Dict[str, Dict[str, float]]:
         return {"Europe": dict(self.europe_mix), "Africa": dict(self.africa_mix)}
 
@@ -389,50 +376,22 @@ class PlansSpec:
 class PopulationSpec:
     """Who subscribes."""
 
-    n_customers: int = 600
-    countries: Optional[Tuple[str, ...]] = None
-
-    def _validate(self, path: str) -> None:
-        if self.n_customers <= 0:
-            raise ScenarioError(f"{path}.n_customers", "must be >= 1")
-        if self.countries is not None:
-            if not self.countries:
-                raise ScenarioError(f"{path}.countries", "must not be empty")
-            for name in self.countries:
-                if name not in COUNTRIES:
-                    raise ScenarioError(
-                        f"{path}.countries",
-                        f"unknown country {name!r} "
-                        f"(known: {', '.join(COUNTRIES)})",
-                    )
+    n_customers: int = rule(600, ">= 1")
+    countries: Optional[Tuple[str, ...]] = rule(
+        None, known=("country", tuple(COUNTRIES)), nonempty=True
+    )
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
     """What the population does over the capture."""
 
-    days: int = 5
+    days: int = rule(5, ">= 1")
     seed: int = 2022
-    flow_scale: float = 1.0
+    flow_scale: float = rule(1.0, "> 0")
     include_dns: bool = True
-    dns_flows_per_day: float = 25.0
-    n_shards: Optional[int] = None
-
-    def _validate(self, path: str) -> None:
-        if self.days <= 0:
-            raise ScenarioError(f"{path}.days", "must be >= 1")
-        if self.flow_scale <= 0.0:
-            raise ScenarioError(f"{path}.flow_scale", "must be > 0")
-        if self.dns_flows_per_day < 0.0:
-            raise ScenarioError(f"{path}.dns_flows_per_day", "must be >= 0")
-        if self.n_shards is not None and self.n_shards <= 0:
-            raise ScenarioError(f"{path}.n_shards", "must be >= 1 or null")
-
-
-#: Scenario-facing category keys → :class:`ServiceCategory`.
-_CATEGORY_KEYS: Dict[str, ServiceCategory] = {
-    category.name.lower(): category for category in ServiceCategory
-}
+    dns_flows_per_day: float = rule(25.0, ">= 0")
+    n_shards: Optional[int] = rule(None, ">= 1")
 
 
 @dataclass(frozen=True)
@@ -440,39 +399,26 @@ class QoeSpec:
     """Video-QoE session knobs (``traffic.qoe``)."""
 
     enabled: bool = False
-    sessions_per_day: float = 0.6
-    chunk_s: float = 4.0
-    startup_chunks: int = 3
-    max_buffer_s: float = 30.0
-    bitrate_ladder_mbps: Tuple[float, ...] = (1.0, 2.5, 4.0, 8.0, 16.0)
-    duration: str = "lognormal(900.0,0.8)"
-    shape_bps: Optional[float] = None
+    sessions_per_day: float = rule(0.6, ">= 0")
+    chunk_s: float = rule(4.0, "> 0")
+    startup_chunks: int = rule(3, ">= 1")
+    max_buffer_s: float = rule(30.0, ">= chunk_s")
+    bitrate_ladder_mbps: Tuple[float, ...] = rule(
+        (1.0, 2.5, 4.0, 8.0, 16.0), "> 0", nonempty=True
+    )
+    duration: str = rule("lognormal(900.0,0.8)", spec=True)
+    shape_bps: Optional[float] = rule(None, "> 0")
 
-    def _validate(self, path: str) -> None:
-        if self.sessions_per_day < 0.0:
-            raise ScenarioError(f"{path}.sessions_per_day", "must be >= 0")
-        if self.chunk_s <= 0.0:
-            raise ScenarioError(f"{path}.chunk_s", "must be > 0")
-        if self.startup_chunks < 1:
-            raise ScenarioError(f"{path}.startup_chunks", "must be >= 1")
-        if self.max_buffer_s < self.chunk_s:
-            raise ScenarioError(f"{path}.max_buffer_s", "must be >= chunk_s")
-        if not self.bitrate_ladder_mbps:
-            raise ScenarioError(f"{path}.bitrate_ladder_mbps", "must not be empty")
-        previous = 0.0
-        for rate in self.bitrate_ladder_mbps:
-            if rate <= previous:
-                raise ScenarioError(
-                    f"{path}.bitrate_ladder_mbps",
-                    "must be ascending positive rates",
-                )
-            previous = rate
-        try:
-            parse_spec(self.duration)
-        except DistributionError as exc:
-            raise ScenarioError(f"{path}.duration", str(exc)) from exc
-        if self.shape_bps is not None and self.shape_bps <= 0.0:
-            raise ScenarioError(f"{path}.shape_bps", "must be > 0 or null")
+    def _check(self, path: str) -> None:
+        ladder = self.bitrate_ladder_mbps
+        if any(low >= high for low, high in zip(ladder, ladder[1:])):
+            raise ScenarioError(
+                f"{path}.bitrate_ladder_mbps", "must be ascending positive rates"
+            )
+
+
+def _service_overrides() -> Any:
+    return rule(known=("service", tuple(SERVICES)), spec=True, factory=dict)
 
 
 @dataclass(frozen=True)
@@ -486,76 +432,36 @@ class TrafficSpec:
     identity — exactly the ``constellation`` discipline.
     """
 
-    category_weights: Dict[str, float] = field(default_factory=dict)
-    size_overrides: Dict[str, str] = field(default_factory=dict)
-    flows_overrides: Dict[str, str] = field(default_factory=dict)
+    category_weights: Dict[str, float] = rule(
+        bound="> 0", known=("category", tuple(_CATEGORY_KEYS)), factory=dict
+    )
+    size_overrides: Dict[str, str] = _service_overrides()
+    flows_overrides: Dict[str, str] = _service_overrides()
     qoe: QoeSpec = field(default_factory=QoeSpec)
-
-    def _validate(self, path: str) -> None:
-        for key, weight in self.category_weights.items():
-            if key not in _CATEGORY_KEYS:
-                raise ScenarioError(
-                    f"{path}.category_weights.{key}",
-                    f"unknown category (known: {', '.join(_CATEGORY_KEYS)})",
-                )
-            if not isinstance(weight, (int, float)) or weight <= 0:
-                raise ScenarioError(
-                    f"{path}.category_weights.{key}", "must be > 0"
-                )
-        for field_name in ("size_overrides", "flows_overrides"):
-            for svc, spec in getattr(self, field_name).items():
-                if svc not in SERVICES:
-                    raise ScenarioError(
-                        f"{path}.{field_name}.{svc}",
-                        f"unknown service (known: {', '.join(SERVICES)})",
-                    )
-                try:
-                    parse_spec(spec)
-                except DistributionError as exc:
-                    raise ScenarioError(
-                        f"{path}.{field_name}.{svc}", str(exc)
-                    ) from exc
-        self.qoe._validate(f"{path}.qoe")
 
 
 @dataclass(frozen=True)
 class StreamSpec:
     """Window plan of streaming captures — content, like ``n_shards``."""
 
-    window_days: int = 1
-
-    def _validate(self, path: str) -> None:
-        if self.window_days <= 0:
-            raise ScenarioError(f"{path}.window_days", "must be >= 1")
+    window_days: int = rule(1, ">= 1")
 
 
 @dataclass(frozen=True)
 class ExecutionSpec:
     """How to run — never content, never part of any digest."""
 
-    workers: int = 1
+    workers: int = rule(1, ">= 0")
     """Worker processes; 0 means one per core."""
     compress: bool = True
     """Compress spilled stream windows (CPU for ~3x less disk)."""
-    pipeline_depth: int = 1
+    pipeline_depth: int = rule(1, ">= 0")
     """Windows the stream producer may generate ahead of the commit
     thread; 0 runs lockstep. Peak residency is ``depth + 2`` window
     frames."""
-    engine: str = "python"
+    engine: str = rule("python", known=("engine", ENGINES))
     """Packet-path compute engine: ``python`` (per-packet oracle) or
     ``vectorized`` (numpy batch kernels, digest-identical)."""
-
-    def _validate(self, path: str) -> None:
-        if self.workers < 0:
-            raise ScenarioError(f"{path}.workers", "must be >= 0 (0 = one per core)")
-        if self.pipeline_depth < 0:
-            raise ScenarioError(f"{path}.pipeline_depth", "must be >= 0 (0 = lockstep)")
-        from repro.kernels import ENGINES
-
-        if self.engine not in ENGINES:
-            raise ScenarioError(
-                f"{path}.engine", f"must be one of {', '.join(ENGINES)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -568,26 +474,16 @@ class FleetSpec:
     knobs contribute to the digest.
     """
 
-    partitions: int = 1
+    partitions: int = rule(1, ">= 1")
     """Disjoint shard-range partitions the capture is split into
     (clamped to the shard count of the plan)."""
-    max_parallel: int = 4
+    max_parallel: int = rule(4, ">= 1")
     """Worker subprocesses allowed to run at once."""
-    straggler_timeout_s: float = 120.0
+    straggler_timeout_s: float = rule(120.0, "> 0")
     """Seconds without checkpoint progress before the coordinator
     SIGKILLs a worker and heals it via resume."""
-    max_heals: int = 3
+    max_heals: int = rule(3, ">= 0")
     """Heal (resume) attempts per partition before the fleet fails."""
-
-    def _validate(self, path: str) -> None:
-        if self.partitions < 1:
-            raise ScenarioError(f"{path}.partitions", "must be >= 1")
-        if self.max_parallel < 1:
-            raise ScenarioError(f"{path}.max_parallel", "must be >= 1")
-        if self.straggler_timeout_s <= 0.0:
-            raise ScenarioError(f"{path}.straggler_timeout_s", "must be > 0")
-        if self.max_heals < 0:
-            raise ScenarioError(f"{path}.max_heals", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -602,33 +498,18 @@ class FaultsSpec:
     can be combined, and ``seed`` makes the chaos reproducible.
     """
 
-    profile: str = ""
+    profile: str = rule("", known=("fault profile", tuple(FAULT_PROFILES)))
     """A :data:`repro.faults.FAULT_PROFILES` name, or empty."""
     seed: int = 0
-    io_error_rate: float = 0.0
+    io_error_rate: float = rule(0.0, "in [0, 1]")
     """Per-operation probability of a transient write error."""
-    io_fail_times: int = 1
+    io_fail_times: int = rule(1, ">= 1")
     """Consecutive failing attempts per triggered IO fault."""
-    fsync_error_rate: float = 0.0
-    worker_crash_rate: float = 0.0
+    fsync_error_rate: float = rule(0.0, "in [0, 1]")
+    worker_crash_rate: float = rule(0.0, "in [0, 1]")
     """Per-(window, shard) probability a forked worker dies."""
     kill_at: Tuple[str, ...] = ()
     """Named kill-points (see ``repro.stream.stream_kill_points``)."""
-
-    def _validate(self, path: str) -> None:
-        from repro.faults import FAULT_PROFILES
-
-        if self.profile and self.profile not in FAULT_PROFILES:
-            raise ScenarioError(
-                f"{path}.profile",
-                f"unknown fault profile {self.profile!r} "
-                f"(known: {', '.join(FAULT_PROFILES)})",
-            )
-        for name in ("io_error_rate", "fsync_error_rate", "worker_crash_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ScenarioError(f"{path}.{name}", "must be in [0, 1]")
-        if self.io_fail_times < 1:
-            raise ScenarioError(f"{path}.io_fail_times", "must be >= 1")
 
     @property
     def enabled(self) -> bool:
@@ -652,30 +533,18 @@ class ServeSpec:
 
     enabled: bool = False
     """Serve live reports while the capture runs."""
-    host: str = "127.0.0.1"
-    port: int = 0
+    host: str = rule("127.0.0.1", nonempty=True)
+    port: int = rule(0, "in [0, 65535]")
     """TCP port; 0 binds an ephemeral port (printed at startup)."""
-    linger_s: float = 0.0
+    linger_s: float = rule(0.0, ">= 0")
     """Seconds to keep serving after the capture completes — the CI
     smoke job and dashboard demos poll the finished state."""
-    publish_interval_s: float = 0.25
+    publish_interval_s: float = rule(0.25, "> 0")
     """Fleet only: minimum seconds between merged partial-state
     publications while the coordinator polls its workers."""
-    max_inflight: int = 64
+    max_inflight: int = rule(64, ">= 1")
     """Concurrent renders the server allows before queueing requests
     (backpressure; renders are GIL-bound numpy)."""
-
-    def _validate(self, path: str) -> None:
-        if not 0 <= self.port <= 65535:
-            raise ScenarioError(f"{path}.port", "must be in [0, 65535]")
-        if not self.host:
-            raise ScenarioError(f"{path}.host", "must be non-empty")
-        if self.linger_s < 0:
-            raise ScenarioError(f"{path}.linger_s", "must be >= 0")
-        if self.publish_interval_s <= 0:
-            raise ScenarioError(f"{path}.publish_interval_s", "must be > 0")
-        if self.max_inflight < 1:
-            raise ScenarioError(f"{path}.max_inflight", "must be >= 1")
 
 
 _SECTION_TYPES: Dict[str, type] = {
@@ -703,13 +572,11 @@ _SECTION_TYPES: Dict[str, type] = {
 #: as the legacy path did); ``fleet`` only partitions execution (the
 #: merged rollup is bit-identical at any partition count); ``faults``
 #: only injects failures (retried or healed, never sampled into the
-#: flows); ``name``/``description`` are labels. ``constellation`` joins
-#: conditionally: :meth:`Scenario.content_payload` appends it only when
-#: it leaves the all-defaults payload, keeping every pre-refactor
-#: digest byte-stable while giving orbital scenarios their own identity.
-#: ``traffic`` follows the same conditional discipline — distribution
-#: overrides and QoE sessions change the flows, so a non-default
-#: section is content, while the default contributes nothing.
+#: flows); ``name``/``description`` are labels. ``constellation`` and
+#: ``traffic`` join conditionally (:data:`_CONDITIONAL_BASELINES`):
+#: orbital motion, distribution overrides and QoE sessions change the
+#: flows, so a non-default section is content, while a default one
+#: contributes nothing and every pre-refactor digest stays byte-stable.
 _CONTENT_SECTIONS = (
     "geometry",
     "beams",
@@ -815,10 +682,13 @@ def _section_payload(section: Any) -> Dict[str, Any]:
     return payload
 
 
-#: Default ``traffic`` payload: the section enters a digest only when
-#: a scenario moves off this (the ``constellation`` discipline), so
-#: every pre-refactor digest — baseline-geo included — stays pinned.
-_BASELINE_TRAFFIC_PAYLOAD: Dict[str, Any] = _section_payload(TrafficSpec())
+#: Sections that enter a digest only when a scenario moves them off
+#: these all-defaults payloads, so every pre-refactor digest —
+#: baseline-geo included — stays pinned.
+_CONDITIONAL_BASELINES: Dict[str, Dict[str, Any]] = {
+    "constellation": _section_payload(ConstellationSpec()),
+    "traffic": _section_payload(TrafficSpec()),
+}
 
 
 # --------------------------------------------------------------------------
@@ -880,7 +750,7 @@ class Scenario:
     def validate(self) -> "Scenario":
         """Validate every field; raises path-qualified :class:`ScenarioError`."""
         for section_name in _SECTION_TYPES:
-            getattr(self, section_name)._validate(section_name)
+            _check_section(getattr(self, section_name), section_name)
         return self
 
     def to_mapping(self) -> Dict[str, Any]:
@@ -915,50 +785,32 @@ class Scenario:
                         f"unknown {source} path",
                     )
                 node = node[key]
-            leaf = keys[-1]
-            # Mix tables accept new plan names (validated against
-            # PLANS); traffic's per-category / per-service tables
-            # accept new keys the same way (validated by TrafficSpec).
-            if leaf not in node and not (
-                len(keys) == 3 and keys[0] in ("plans", "traffic")
-            ):
-                raise ScenarioError(dotted, f"unknown {source} path")
-            node[leaf] = _parse_override_value(raw)
+            # An unknown leaf is rejected by from_mapping (unknown key)
+            # or by its field's ``known=`` rule (plan, category, service).
+            node[keys[-1]] = _parse_override_value(raw)
         return Scenario.from_mapping(data)
 
     # -- identity ----------------------------------------------------------
 
-    def content_payload(self) -> Dict[str, Any]:
-        """The capture-defining payload (sections in `_CONTENT_SECTIONS`).
-
-        ``constellation`` is appended only when it deviates from the
-        all-defaults payload: a default (static) section must not
-        perturb the digest of any pre-refactor scenario.
-        """
+    def _payload(self, sections: Tuple[str, ...]) -> Dict[str, Any]:
+        """``sections``, plus each conditional section that deviates from
+        its all-defaults payload (a default section must not perturb the
+        digest of any pre-refactor scenario)."""
         payload = {
-            section: _section_payload(getattr(self, section))
-            for section in _CONTENT_SECTIONS
+            section: _section_payload(getattr(self, section)) for section in sections
         }
-        constellation = _section_payload(self.constellation)
-        if constellation != _BASELINE_CONSTELLATION_PAYLOAD:
-            payload["constellation"] = constellation
-        traffic = _section_payload(self.traffic)
-        if traffic != _BASELINE_TRAFFIC_PAYLOAD:
-            payload["traffic"] = traffic
+        for section, baseline in _CONDITIONAL_BASELINES.items():
+            current = _section_payload(getattr(self, section))
+            if current != baseline:
+                payload[section] = current
         return payload
+
+    def content_payload(self) -> Dict[str, Any]:
+        """The capture-defining payload (sections in `_CONTENT_SECTIONS`)."""
+        return self._payload(_CONTENT_SECTIONS)
 
     def models_payload(self) -> Dict[str, Any]:
-        payload = {
-            section: _section_payload(getattr(self, section))
-            for section in _MODEL_SECTIONS
-        }
-        constellation = _section_payload(self.constellation)
-        if constellation != _BASELINE_CONSTELLATION_PAYLOAD:
-            payload["constellation"] = constellation
-        traffic = _section_payload(self.traffic)
-        if traffic != _BASELINE_TRAFFIC_PAYLOAD:
-            payload["traffic"] = traffic
-        return payload
+        return self._payload(_MODEL_SECTIONS)
 
     def is_baseline_models(self) -> bool:
         """True when every model section sits at the baseline defaults."""

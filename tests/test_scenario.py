@@ -8,6 +8,9 @@ mapping — plus the byte-identity and threading guarantees the tentpole
 rests on.
 """
 
+import dataclasses
+from typing import get_args, get_origin, get_type_hints
+
 import numpy as np
 import pytest
 
@@ -692,3 +695,148 @@ shape_bps = 4e6
     assert model.qoe.shape_bps == 4e6
     payload = scenario.content_payload()
     assert payload["traffic"]["qoe"]["enabled"] is True
+
+
+
+# --- pinned registry digests ------------------------------------------------
+
+
+#: Every registered scenario's capture identity. A drift re-keys every
+#: cached capture: if the sampled output changes on purpose, bump
+#: ``repro.cache.CACHE_SALT`` and re-pin here.
+REGISTERED_DIGESTS = {
+    "baseline-geo": BASELINE_GEO_DIGEST,
+    "congested-beam": "729c8d908f4ae015b1fe782b",
+    "beam-outage": "57559b1496bf73e4768c50e0",
+    "leo": "5acec5a2c4257c4a8b5bcc74",
+    "heavy-growth": "11a1f4aa953fc1ab9e444e61",
+    "leo-starlink": "79d873dfe46881a4f7e76061",
+    "video-streaming": "bd65a08edefa47b2021199ad",
+    "shaped-vs-unshaped": "16a82f324619af698ab71fea",
+    "multi-orbit": "39707c35a00f2804d465c0e3",
+}
+
+
+def test_registered_digests_are_pinned():
+    assert list(REGISTERED_DIGESTS) == scenario_names()
+    digests = {name: get_scenario(name).digest() for name in scenario_names()}
+    assert digests == REGISTERED_DIGESTS
+
+
+# --- declared field rules ---------------------------------------------------
+
+
+#: Numeric fields that take any value.
+FREE_NUMERIC_FIELDS = {"qos.seed", "workload.seed", "faults.seed"}
+
+
+def _leaf_fields(section=None, path=""):
+    """``(dotted path, field, type hint, owning section)`` per leaf field."""
+    section = Scenario() if section is None else section
+    hints = get_type_hints(type(section))
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        dotted = f"{path}.{f.name}" if path else f.name
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_fields(value, dotted)
+        elif path:
+            yield dotted, f, hints[f.name], section
+
+
+def _holds(hint, kind):
+    """Whether ``hint`` is ``kind`` or an Optional/tuple/mapping of it."""
+    return hint is kind or any(_holds(arg, kind) for arg in get_args(hint))
+
+
+def _container(hint):
+    """``dict``, ``tuple`` or ``None`` (a scalar) for a field's type hint."""
+    for candidate in (hint, *get_args(hint)):
+        if get_origin(candidate) in (dict, tuple):
+            return get_origin(candidate)
+    return None
+
+
+def _placed(dotted, f, hint, item):
+    """``(override, error path)`` putting ``item`` where ``f`` holds one value."""
+    if _container(hint) is dict:
+        key = f"{dotted}.{f.metadata['known'][1][0]}"
+        return {key: item}, key
+    if _container(hint) is tuple:
+        return {dotted: [item]}, dotted
+    return {dotted: item}, dotted
+
+
+def test_every_numeric_field_declares_a_rule():
+    undeclared = [
+        dotted
+        for dotted, f, hint, _ in _leaf_fields()
+        if (_holds(hint, int) or _holds(hint, float))
+        and not f.metadata.get("bound")
+        and dotted not in FREE_NUMERIC_FIELDS
+    ]
+    assert not undeclared, f"numeric fields without a declared bound: {undeclared}"
+
+
+def _bound_cases():
+    """``(override, error path, bound, accepted)`` at and just past each end."""
+    for dotted, f, hint, section in _leaf_fields():
+        if not f.metadata.get("ends"):
+            continue
+        step = 1 if _holds(hint, int) else 1e-3
+        low, low_closed, high, high_closed = f.metadata["ends"]
+        for end, closed, outward in ((low, low_closed, -step), (high, high_closed, step)):
+            if end is None:
+                continue
+            if isinstance(end, str):  # a sibling field's value
+                end = getattr(section, end)
+            bound = f.metadata["bound"]
+            if closed:
+                yield (*_placed(dotted, f, hint, end), bound, True)
+            past = end + outward if closed else end
+            yield (*_placed(dotted, f, hint, past), bound, False)
+
+
+BOUND_CASES = list(_bound_cases())
+
+
+def test_bound_cases_cover_literal_and_sibling_ends():
+    paths = {path for _, path, _, _ in BOUND_CASES}
+    assert {
+        "geometry.leo_typical_elevation_deg",
+        "constellation.handover_window_s",
+        "traffic.qoe.max_buffer_s",
+        "plans.europe_mix.sat-10",
+    } <= paths
+    assert any(accepted for *_, accepted in BOUND_CASES)
+
+
+@pytest.mark.parametrize(
+    "override, path, bound, accepted",
+    BOUND_CASES,
+    ids=[str(case[0]) for case in BOUND_CASES],
+)
+def test_declared_bounds_hold_at_each_end(override, path, bound, accepted):
+    if accepted:
+        Scenario().with_overrides(override)
+        return
+    with pytest.raises(ScenarioError) as excinfo:
+        Scenario().with_overrides(override)
+    assert excinfo.value.path == path
+    assert str(excinfo.value) == f"{path}: must be {bound}"
+
+
+KNOWN_FIELDS = [case for case in _leaf_fields() if case[1].metadata.get("known")]
+
+
+@pytest.mark.parametrize(
+    "dotted, f, hint, section", KNOWN_FIELDS, ids=[k[0] for k in KNOWN_FIELDS]
+)
+def test_known_fields_reject_unknown_names(dotted, f, hint, section):
+    if _container(hint) is dict:
+        value = "lognormal(1.0,1.0)" if f.metadata["spec"] else 1.0
+        override, path = {f"{dotted}.no-such-name": value}, f"{dotted}.no-such-name"
+    else:
+        override, path = _placed(dotted, f, hint, "no-such-name")
+    with pytest.raises(ScenarioError, match="unknown .*'no-such-name'") as excinfo:
+        Scenario().with_overrides(override)
+    assert excinfo.value.path == path
