@@ -47,24 +47,6 @@ def test_micro_flowmeter_throughput(benchmark):
 
 
 @pytest.mark.benchmark(group="micro")
-def test_micro_flowmeter_vectorized(benchmark):
-    """Same stream as the python micro above, through the batch kernel.
-    The ratio of the two means is the kernel speedup; identity of the
-    outputs is tests/test_kernels.py's job."""
-    packets = _packet_stream()
-
-    def run():
-        meter = FlowMeter(engine="vectorized", batch_size=512)
-        meter.process_batch(packets)
-        meter.flush_all()
-        return meter
-
-    meter = benchmark(run)
-    assert len(meter.records) == 200
-    assert meter.packets_processed == len(packets)
-
-
-@pytest.mark.benchmark(group="micro")
 def test_micro_simnet_at_batch(benchmark):
     from repro.simnet.engine import Simulator
 
@@ -128,7 +110,7 @@ def fleet_partition_dirs(tmp_path_factory):
 
 @pytest.mark.benchmark(group="micro")
 def test_micro_fleet_merge(benchmark, fleet_partition_dirs):
-    """The fleet reduce step: 4 partitions through a balanced merge tree.
+    """The fleet reduce step: 4 partitions, one frame concat per window.
     Guards the frame-concat merge staying IO-bound — the windows are
     re-read and re-folded every round, nothing is cached between runs."""
     from repro.fleet import merge_partition_captures

@@ -283,12 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "progress (default: scenario fleet value, 120)",
     )
     fleet.add_argument(
-        "--merge-tree",
-        choices=("balanced", "left", "right", "random"),
-        default="balanced",
-        help="merge-tree shape (bytes are identical for every shape)",
-    )
-    fleet.add_argument(
         "--resume",
         action="store_true",
         help="continue an interrupted fleet from its manifest and the "
@@ -416,25 +410,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "against, e.g. --compare leo-starlink for GEO vs LEO",
     )
 
-    psim = sub.add_parser("packet-sim", help="packet-level methodology validation")
-    psim.add_argument(
-        "--engine",
-        choices=("python", "vectorized"),
-        default="python",
-        help="flow-meter compute engine (records are identical)",
-    )
+    sub.add_parser("packet-sim", help="packet-level methodology validation")
 
     mixed = sub.add_parser(
         "mixed-sim", help="TLS 1.3 / HTTP / QUIC / RTP through the packet path"
     )
     mixed.add_argument("--country", default="Spain")
     mixed.add_argument("--n", type=int, default=3, help="clients per protocol")
-    mixed.add_argument(
-        "--engine",
-        choices=("python", "vectorized"),
-        default="python",
-        help="flow-meter compute engine (records are identical)",
-    )
 
     err = sub.add_parser("errant", help="fit/compare ERRANT profiles")
     err.add_argument("--dataset", required=True)
@@ -632,7 +614,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             partitions=args.partitions,
             max_parallel=args.max_parallel,
             straggler_timeout_s=args.straggler_timeout,
-            merge_tree=args.merge_tree,
             resume=args.resume,
             on_event=lambda line: print(line, file=sys.stderr),
             snapshot_hub=hub,
@@ -860,7 +841,7 @@ def _cmd_packet_sim(args: argparse.Namespace) -> int:
 
     from repro.pipeline import run_packet_simulation
 
-    result = run_packet_simulation(engine=args.engine)
+    result = run_packet_simulation()
     sats = np.array([r.sat_rtt_ms for r in result.tls_records])
     grounds = np.array([r.rtt_avg_ms for r in result.tls_records])
     print(
@@ -908,9 +889,7 @@ def _cmd_mixed_sim(args: argparse.Namespace) -> int:
 
     from repro.pipeline import run_mixed_protocol_simulation
 
-    result = run_mixed_protocol_simulation(
-        country=args.country, n_each=args.n, engine=args.engine
-    )
+    result = run_mixed_protocol_simulation(country=args.country, n_each=args.n)
     by_l7 = {}
     for record in result.records:
         by_l7.setdefault(record.l7.value, []).append(record)

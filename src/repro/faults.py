@@ -5,7 +5,8 @@ traffic; the storage and workers under a real deployment fail. This
 module makes those failures *reproducible*: a :class:`FaultPlan` is a
 seeded description of what goes wrong — transient IO errors on
 write/fsync/rename/read, truncated (torn) writes, worker-process
-crashes, and SIGKILL at named checkpoints — and a
+crashes, and SIGKILL at named kill-points (one grammar,
+:data:`KILL_POINT_GRAMMAR`) — and a
 :class:`FaultInjector` executes it. Every decision is drawn from the
 plan's own RNG (or, for worker crashes, derived as a pure function of
 ``(seed, window, shard)`` so forked workers agree with the parent), so
@@ -39,12 +40,13 @@ The same module owns the resilience the faults exercise:
 from __future__ import annotations
 
 import os
+import re
 import signal
 import time
 from dataclasses import dataclass, field, fields
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -132,6 +134,76 @@ class FaultPlan:
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     backoff_base_s: float = DEFAULT_BACKOFF_BASE_S
     backoff_factor: float = DEFAULT_BACKOFF_FACTOR
+
+
+#: Per-window stream kill-point stages, in commit order: after
+#: generation, after the window spilled, after the rollup state saved,
+#: after the checkpoint committed.
+WINDOW_KILL_STAGES = ("generated", "spilled", "rollup-saved", "committed")
+
+#: Fleet coordinator kill-point stages, in order; each partition's
+#: ``fleet:pNNN:done`` falls between ``planned`` and ``merge``.
+FLEET_KILL_STAGES = ("init", "planned", "merge", "done")
+
+#: A fleet partition as :func:`partition_kill_prefix` names it.
+_PARTITION = r"p(?:\d{3}|[1-9]\d{3,})"
+
+#: The ``pNNN:`` prefix that targets one fleet partition's worker.
+PARTITION_KILL_PREFIX = re.compile(rf"{_PARTITION}:")
+
+#: The kill-point grammar — every name a capture passes to
+#: :meth:`FaultInjector.kill_point`. A stream capture has
+#: ``stream:init`` and ``stream:w<N>:<stage>``; a ``pNNN:`` prefix on a
+#: stream point arms it only in fleet partition NNN's worker. A fleet
+#: coordinator has ``fleet:<stage>`` and ``fleet:pNNN:done``.
+KILL_POINT_GRAMMAR = re.compile(
+    rf"(?:{_PARTITION}:)?stream:(?:init"
+    rf"|w(?:0|[1-9]\d*):(?:{'|'.join(WINDOW_KILL_STAGES)}))"
+    rf"|fleet:(?:{'|'.join(FLEET_KILL_STAGES)}|{_PARTITION}:done)"
+)
+
+#: The grammar in words, for error messages.
+KILL_POINT_FORMS = (
+    f"[pNNN:]stream:init, [pNNN:]stream:w<N>:"
+    f"{{{'|'.join(WINDOW_KILL_STAGES)}}}, "
+    f"fleet:{{{'|'.join(FLEET_KILL_STAGES)}}}, fleet:pNNN:done"
+)
+
+
+def partition_kill_prefix(index: int) -> str:
+    """The ``kill_at`` prefix targeting fleet partition ``index``'s worker."""
+    return f"p{index:03d}:"
+
+
+def stream_kill_points(n_windows: int) -> List[str]:
+    """Every named kill-point of an ``n_windows`` stream run, in order.
+
+    The chaos crash matrix SIGKILLs the producer at each of these (via
+    ``FaultPlan(kill_at=...)``) and asserts the resumed capture is
+    bit-identical to an uninterrupted one.
+    """
+    points = ["stream:init"]
+    for index in range(n_windows):
+        points.extend(
+            f"stream:w{index}:{stage}" for stage in WINDOW_KILL_STAGES
+        )
+    return points
+
+
+def fleet_kill_points(n_partitions: int) -> List[str]:
+    """Every coordinator-level kill-point of a fleet run, in order.
+
+    The fleet crash matrix SIGKILLs the coordinator at each and asserts
+    the resumed fleet still produces the single-process digest. Worker
+    kill-points are the stream ones, prefixed ``pNNN:`` (see
+    :mod:`repro.fleet.worker`).
+    """
+    init, planned, merge, done = (f"fleet:{s}" for s in FLEET_KILL_STAGES)
+    points = [init, planned]
+    points.extend(
+        f"fleet:{partition_kill_prefix(i)}done" for i in range(n_partitions)
+    )
+    return points + [merge, done]
 
 
 @dataclass

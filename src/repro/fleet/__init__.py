@@ -12,54 +12,42 @@ processes and reduces their outputs. The package is four small layers:
 * :mod:`repro.fleet.coordinator` — the bounded dispatch pool,
   straggler detection via checkpoint progress, crash healing through
   the resume path, and the ``fleet.json`` manifest;
-* :mod:`repro.fleet.merge` — the binary merge tree reducing partition
-  captures into one ``merged_rollup.npz``, bit-identical to the
-  single-process stream digest.
+* :mod:`repro.fleet.merge` — the window-by-window concatenation that
+  reduces partition captures into one ``merged_rollup.npz``,
+  bit-identical to the single-process stream digest.
 
 See DESIGN.md §13.
 """
 
+from repro.faults import fleet_kill_points, partition_kill_prefix
 from repro.fleet.coordinator import (
     FLEET_MANIFEST,
     FLEET_TELEMETRY,
     MERGED_ROLLUP,
     FleetResult,
     PartitionState,
-    fleet_kill_points,
     fleet_telemetry_rows,
     load_fleet_manifest,
     partition_dir,
     render_fleet_telemetry,
     run_fleet_capture,
 )
-from repro.fleet.merge import (
-    MERGE_TREE_SHAPES,
-    MergeStats,
-    MergeNode,
-    merge_partition_captures,
-    plan_merge_tree,
-)
+from repro.fleet.merge import MergeStats, merge_partition_captures
 from repro.fleet.plan import (
     FleetPlan,
     PartitionSpec,
     partition_dir_name,
     plan_partitions,
 )
-from repro.fleet.worker import (
-    partition_fault_plan,
-    partition_kill_prefix,
-    run_partition,
-)
+from repro.fleet.worker import partition_fault_plan, run_partition
 
 __all__ = [
     "FLEET_MANIFEST",
     "FLEET_TELEMETRY",
     "MERGED_ROLLUP",
-    "MERGE_TREE_SHAPES",
     "MergeStats",
     "FleetPlan",
     "FleetResult",
-    "MergeNode",
     "PartitionSpec",
     "PartitionState",
     "fleet_kill_points",
@@ -70,7 +58,6 @@ __all__ = [
     "partition_dir_name",
     "partition_fault_plan",
     "partition_kill_prefix",
-    "plan_merge_tree",
     "plan_partitions",
     "render_fleet_telemetry",
     "run_fleet_capture",

@@ -12,8 +12,8 @@ Drives one :class:`~repro.fleet.plan.FleetPlan` to completion:
 * **heal** — a dead worker (crashed, killed, or straggler-reaped) is
   respawned through the PR-5 resume path with kill-points stripped, up
   to ``fleet.max_heals`` times per partition;
-* **merge** — completed partitions reduce through the
-  :mod:`repro.fleet.merge` tree into ``merged_rollup.npz``, loadable by
+* **merge** — completed partitions reduce through
+  :mod:`repro.fleet.merge` into ``merged_rollup.npz``, loadable by
   ``repro report``/``scorecard`` as a plain
   :class:`~repro.analysis.source.RollupSource`.
 
@@ -49,12 +49,7 @@ from repro.faults import (
     atomic_write_bytes,
     resolve_injector,
 )
-from repro.fleet.merge import (
-    MERGE_TREE_SHAPES,
-    MergeStats,
-    merge_partition_captures,
-    plan_merge_tree,
-)
+from repro.fleet.merge import MergeStats, merge_partition_captures
 from repro.fleet.plan import FleetPlan, PartitionSpec, plan_partitions
 from repro.fleet.worker import partition_process_entry, run_partition
 from repro.stream.checkpoint import Checkpoint, load_checkpoint
@@ -125,20 +120,6 @@ def partition_dir(fleet_dir: Union[str, Path], partition: PartitionSpec) -> Path
     return Path(fleet_dir) / PARTITIONS_DIR / partition.name
 
 
-def fleet_kill_points(n_partitions: int) -> List[str]:
-    """Every coordinator-level kill-point of a fleet run, in order.
-
-    The fleet crash matrix SIGKILLs the coordinator at each and asserts
-    the resumed fleet still produces the single-process digest. Worker
-    kill-points are the stream ones, prefixed ``pNNN:`` (see
-    :mod:`repro.fleet.worker`).
-    """
-    points = ["fleet:init", "fleet:planned"]
-    points.extend(f"fleet:p{i:03d}:done" for i in range(n_partitions))
-    points.extend(["fleet:merge", "fleet:done"])
-    return points
-
-
 # -- manifest ----------------------------------------------------------------
 
 
@@ -147,7 +128,6 @@ def _write_manifest(
     plan: FleetPlan,
     states: List[PartitionState],
     status: str,
-    merge_tree: str,
     injector: FaultInjector,
     merged_digest: str = "",
     merge: Optional[Dict] = None,
@@ -160,7 +140,6 @@ def _write_manifest(
         "n_partitions": plan.n_partitions,
         "n_shards": plan.n_shards,
         "n_windows": plan.n_windows,
-        "merge_tree": merge_tree,
         "merged_digest": merged_digest,
         # the merge's time split (MergeStats), once a merge has run
         "merge": merge or {},
@@ -401,8 +380,6 @@ def run_fleet_capture(
     partitions: Optional[int] = None,
     max_parallel: Optional[int] = None,
     straggler_timeout_s: Optional[float] = None,
-    merge_tree: str = "balanced",
-    merge_seed: Optional[int] = None,
     resume: bool = False,
     faults: Optional[FaultPlan] = None,
     on_event: Optional[Callable[[str], None]] = None,
@@ -421,8 +398,8 @@ def run_fleet_capture(
 
     The merged rollup's ``state_digest()`` is bit-identical to a
     single-process ``repro stream`` of the same scenario — for any
-    partition count, any ``max_parallel``, any merge-tree shape, and
-    across worker crashes and heals.
+    partition count, any ``max_parallel``, and across worker crashes
+    and heals.
 
     ``snapshot_hub`` (a :class:`repro.serve.SnapshotHub`) receives the
     coordinator's merged *partial* state as partitions commit windows
@@ -431,11 +408,6 @@ def run_fleet_capture(
     --serve-port`` serves the fleet exactly like a live stream.
     """
     fleet_dir = Path(fleet_dir)
-    if merge_tree not in MERGE_TREE_SHAPES:
-        raise ValueError(
-            f"unknown merge tree {merge_tree!r} "
-            f"(known: {', '.join(MERGE_TREE_SHAPES)})"
-        )
     max_parallel = (
         max_parallel if max_parallel is not None else scenario.fleet.max_parallel
     )
@@ -504,7 +476,7 @@ def run_fleet_capture(
                 n_windows=plan.n_windows,
             )
         )
-    _write_manifest(fleet_dir, plan, states, "running", merge_tree, injector)
+    _write_manifest(fleet_dir, plan, states, "running", injector)
     injector.kill_point("fleet:planned")
 
     publisher: Optional[_FleetPublisher] = None
@@ -529,7 +501,7 @@ def run_fleet_capture(
                 publisher.publish_final(rollup, rollup.state_digest())
             rows = fleet_telemetry_rows(plan, states, fleet_dir)
             _write_manifest(
-                fleet_dir, plan, states, "complete", merge_tree, injector,
+                fleet_dir, plan, states, "complete", injector,
                 merged_digest=rollup.state_digest(), merge=manifest.get("merge"),
             )
             return FleetResult(
@@ -553,7 +525,7 @@ def run_fleet_capture(
         _dispatch_forked(
             scenario, plan, states, pending, fleet_dir,
             max_parallel, timeout, max_heals, poll_interval_s,
-            injector, fault_plan, merge_tree, emit, publisher,
+            injector, fault_plan, emit, publisher,
         )
     else:  # pragma: no cover - platforms without fork
         # Sequential in-process fallback: same bytes, no crash
@@ -570,18 +542,14 @@ def run_fleet_capture(
             state.windows_done = result.checkpoint.windows_done
             if publisher is not None:
                 publisher.maybe_publish(states)
-            _write_manifest(
-                fleet_dir, plan, states, "running", merge_tree, injector
-            )
+            _write_manifest(fleet_dir, plan, states, "running", injector)
             injector.kill_point(f"fleet:{spec.name}:done")
 
     injector.kill_point("fleet:merge")
-    tree = plan_merge_tree(plan.n_partitions, merge_tree, seed=merge_seed)
-    emit(f"merging {plan.n_partitions} partitions: {tree.shape()}")
+    emit(f"merging {plan.n_partitions} partitions")
     merge_stats = MergeStats()
     rollup = merge_partition_captures(
         [partition_dir(fleet_dir, spec) for spec in plan.partitions],
-        tree=tree,
         stats=merge_stats,
     )
     emit(merge_stats.describe())
@@ -597,7 +565,7 @@ def run_fleet_capture(
         op="fleet.telemetry",
     )
     _write_manifest(
-        fleet_dir, plan, states, "complete", merge_tree, injector,
+        fleet_dir, plan, states, "complete", injector,
         merged_digest=digest, merge=merge_stats.to_payload(),
     )
     injector.kill_point("fleet:done")
@@ -625,7 +593,6 @@ def _dispatch_forked(
     poll_interval_s: float,
     injector: FaultInjector,
     fault_plan: Optional[FaultPlan],
-    merge_tree: str,
     emit: Callable[[str], None],
     publisher: Optional["_FleetPublisher"] = None,
 ) -> None:
@@ -660,9 +627,7 @@ def _dispatch_forked(
                     ),
                     last_change=now,
                 )
-                _write_manifest(
-                    fleet_dir, plan, states, "running", merge_tree, injector
-                )
+                _write_manifest(fleet_dir, plan, states, "running", injector)
                 emit(
                     f"{spec.name}: {'healing' if heal else 'started'} "
                     f"(attempt {state.attempts}, shards "
@@ -708,7 +673,7 @@ def _dispatch_forked(
                     state.status = "done"
                     state.windows_done = checkpoint.windows_done
                     _write_manifest(
-                        fleet_dir, plan, states, "running", merge_tree, injector
+                        fleet_dir, plan, states, "running", injector
                     )
                     emit(
                         f"{spec.name}: done "
@@ -720,7 +685,7 @@ def _dispatch_forked(
                 if state.heals >= max_heals:
                     state.status = "failed"
                     _write_manifest(
-                        fleet_dir, plan, states, "failed", merge_tree, injector
+                        fleet_dir, plan, states, "failed", injector
                     )
                     raise CaptureError(
                         f"partition {spec.name} failed after {state.heals} "
@@ -730,9 +695,7 @@ def _dispatch_forked(
                 state.heals += 1
                 state.status = "healing"
                 queue.insert(0, spec)
-                _write_manifest(
-                    fleet_dir, plan, states, "running", merge_tree, injector
-                )
+                _write_manifest(fleet_dir, plan, states, "running", injector)
                 emit(
                     f"{spec.name}: worker died (exit {exitcode}) — healing "
                     f"via resume ({state.heals}/{max_heals})"

@@ -22,11 +22,10 @@ forever.
 from __future__ import annotations
 
 import dataclasses
-import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
-from repro.faults import FaultPlan
+from repro.faults import PARTITION_KILL_PREFIX, FaultPlan, partition_kill_prefix
 from repro.fleet.plan import PartitionSpec
 from repro.parallel import resolve_workers
 from repro.stream.checkpoint import WindowTelemetry, load_checkpoint
@@ -34,15 +33,6 @@ from repro.stream.producer import StreamResult, run_stream_capture
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.scenario import Scenario
-
-
-def partition_kill_prefix(index: int) -> str:
-    """The ``kill_at`` prefix targeting partition ``index``'s worker."""
-    return f"p{index:03d}:"
-
-
-#: A kill-point targeted at *some* partition (mine or a sibling's).
-_TARGETED_KILL = re.compile(r"^p\d{3}:")
 
 
 def partition_fault_plan(
@@ -63,7 +53,9 @@ def partition_fault_plan(
         for name in plan.kill_at:
             if name.startswith(prefix):
                 kill_at.append(name[len(prefix):])
-            elif not _TARGETED_KILL.match(name) and not name.startswith("fleet:"):
+            elif not (
+                PARTITION_KILL_PREFIX.match(name) or name.startswith("fleet:")
+            ):
                 kill_at.append(name)
     return dataclasses.replace(
         plan, seed=partition.fault_seed, kill_at=tuple(kill_at)

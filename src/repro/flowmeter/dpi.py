@@ -69,46 +69,6 @@ class DpiEngine:
         self._tls_ruled_out = False
         self._http_ruled_out = False
 
-    @property
-    def observable_frozen(self) -> bool:
-        """True once no future payload can change anything observable —
-        the :class:`DpiResult` or the TLS milestone callbacks.
-
-        A conservative, monotone predicate (once true it stays true)
-        that the batch kernel uses to skip reassembly for settled
-        flows; ``False`` never means "will change", only "cannot prove
-        it won't". The proven-frozen cases:
-
-        * TCP classified ``OTHER_TCP`` with both TLS and HTTP ruled
-          out — every inspection branch is gated off.
-        * TCP classified ``HTTPS`` with the domain extracted and both
-          RTT milestones (ServerHello, ClientKeyExchange) already
-          seen, provided the client→server stream is TLS-framed: new
-          records can only repeat handshake types already in the seen
-          set, and a TLS-looking buffer prefix keeps the HTTP branch
-          unreachable forever.
-        * UDP classified ``QUIC`` with the domain extracted on a
-          non-DNS port — the remaining branches only re-derive the
-          same classification.
-        """
-        result = self.result
-        if self.protocol == "tcp":
-            if result.l7 is L7Protocol.OTHER_TCP:
-                return self._tls_ruled_out and self._http_ruled_out
-            if result.l7 is L7Protocol.HTTPS:
-                return (
-                    result.domain is not None
-                    and tls.HandshakeType.SERVER_HELLO in self._seen_handshake
-                    and tls.HandshakeType.CLIENT_KEY_EXCHANGE in self._seen_handshake
-                    and tls.looks_like_tls(
-                        bytes(self._buffers[Direction.CLIENT_TO_SERVER][:5])
-                    )
-                )
-            return False
-        if result.l7 is L7Protocol.QUIC:
-            return result.domain is not None and self.server_port != 53
-        return False
-
     def on_payload(self, direction: Direction, payload: bytes, now: float) -> None:
         """Feed one packet's L4 payload to the engine."""
         if not payload:

@@ -66,35 +66,15 @@ class FlowMeter:
         the clear, as in the paper.
     idle_timeout_s:
         Flows idle longer than this are flushed by :meth:`expire`.
-    engine:
-        ``"python"`` (the per-packet oracle) or ``"vectorized"`` (the
-        :mod:`repro.kernels.flow` batch kernel). The vectorized engine
-        stages packets into batches of ``batch_size`` and drains them
-        through the kernel — which falls back to the oracle for any
-        batch it cannot reproduce exactly — so records, counters and
-        RTT samples are identical between engines; only mid-stream
-        reads of :attr:`records` may lag until the next drain point
-        (:meth:`expire`, :meth:`flush_all`, :attr:`active_flows`, or a
-        full batch).
-    batch_size:
-        Packets staged per vectorized drain; irrelevant for the python
-        engine.
     """
 
     def __init__(
         self,
         anonymizer: Optional[PrefixPreservingAnonymizer] = None,
         idle_timeout_s: float = 120.0,
-        engine: str = "python",
-        batch_size: int = 512,
     ) -> None:
-        from repro.kernels import resolve_engine
-
         self.anonymizer = anonymizer
         self.idle_timeout_s = idle_timeout_s
-        self.engine = resolve_engine(engine)
-        self._batch_size = max(1, int(batch_size))
-        self._pending: List[Packet] = []
         self._flows: Dict[FiveTuple, _FlowState] = {}
         # both orientations of every active flow, resolved in a single
         # dict probe per packet (the paper's probe sees every packet of
@@ -106,62 +86,10 @@ class FlowMeter:
     @property
     def active_flows(self) -> int:
         """Number of flows currently tracked."""
-        self._drain_pending()
         return len(self._flows)
 
     def process(self, packet: Packet) -> None:
-        """Consume one mirrored packet.
-
-        The vectorized engine stages the packet and meters it at the
-        next drain point; observable results are identical to the
-        per-packet path."""
-        if self.engine == "vectorized":
-            self._pending.append(packet)
-            if len(self._pending) >= self._batch_size:
-                self._drain_pending()
-            return
-        self._process_one(packet)
-
-    def process_batch(self, packets: List[Packet]) -> None:
-        """Consume many packets at once — identical observable state to
-        calling :meth:`process` on each, in order. The vectorized
-        engine drains immediately, so this is the preferred entry point
-        when the caller already holds a batch."""
-        if self.engine == "vectorized":
-            self._pending.extend(packets)
-            self._drain_pending()
-            return
-        for packet in packets:
-            self._process_one(packet)
-
-    #: Below this size a refused batch replays on the oracle instead of
-    #: splitting further — the kernel's fixed overhead stops paying.
-    _MIN_SPLIT = 32
-
-    def _drain_pending(self) -> None:
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        self._meter_batch(pending)
-
-    def _meter_batch(self, packets: List[Packet]) -> None:
-        from repro.kernels.flow import process_packet_batch
-
-        if process_packet_batch(self, packets):
-            return
-        # The kernel refused (a flow finished mid-batch, or a stray-ACK
-        # prefix) without mutating anything. Halve and retry: the kernel
-        # is exact per sub-batch and order is preserved, so splitting
-        # isolates the offending packet while the rest stays vectorized.
-        if len(packets) < self._MIN_SPLIT:
-            for packet in packets:
-                self._process_one(packet)
-            return
-        mid = len(packets) // 2
-        self._meter_batch(packets[:mid])
-        self._meter_batch(packets[mid:])
-
-    def _process_one(self, packet: Packet) -> None:
+        """Consume one mirrored packet."""
         self.packets_processed += 1
         lookup = self._lookup(packet)
         if lookup is None:
@@ -270,7 +198,6 @@ class FlowMeter:
 
     def expire(self, now: float) -> int:
         """Flush flows idle since before ``now - idle_timeout_s``."""
-        self._drain_pending()
         stale = [
             state
             for state in self._flows.values()
@@ -282,6 +209,5 @@ class FlowMeter:
 
     def flush_all(self) -> None:
         """Emit every tracked flow (end of capture)."""
-        self._drain_pending()
         for state in list(self._flows.values()):
             self._emit(state)

@@ -73,7 +73,6 @@ class PacketSimResult:
 def run_packet_simulation(
     config: Optional[PacketSimConfig] = None,
     scenario: Optional["Scenario"] = None,
-    engine: Optional[str] = None,
 ) -> PacketSimResult:
     """Drive TLS downloads and DNS lookups through the packet network.
 
@@ -81,20 +80,15 @@ def run_packet_simulation(
     to a CDN server plus one DNS query; the flow meter observes the
     ground station. The result carries app-side ground truth so tests
     can check the probe's estimators. ``scenario`` selects which
-    satellite model the packets traverse (default: ``baseline-geo``) and
-    its ``execution.engine`` drives the flow meter unless ``engine``
-    overrides it — records are identical either way.
+    satellite model the packets traverse (default: ``baseline-geo``).
     """
     config = config or PacketSimConfig()
-    if engine is None:
-        engine = scenario.execution.engine if scenario is not None else "python"
     sim = Simulator()
     internet = InternetModel()
     for svc in SERVICES.values():
         internet.register_deployment(deployment(svc.name, svc.footprint, svc.policy))
     meter = FlowMeter(
         anonymizer=PrefixPreservingAnonymizer(b"repro-key") if config.anonymize else None,
-        engine=engine,
     )
     rng = np.random.default_rng(config.seed)
     network = SatComPacketNetwork(
@@ -182,7 +176,6 @@ def run_mixed_protocol_simulation(
     seed: int = 21,
     country: str = "Spain",
     n_each: int = 3,
-    engine: str = "python",
 ) -> MixedSimResult:
     """Drive TLS 1.3, plain HTTP, QUIC and RTP through the packet path.
 
@@ -205,7 +198,7 @@ def run_mixed_protocol_simulation(
     internet = InternetModel()
     for svc in SERVICES.values():
         internet.register_deployment(deployment(svc.name, svc.footprint, svc.policy))
-    meter = FlowMeter(engine=engine)
+    meter = FlowMeter()
     rng = np.random.default_rng(seed)
     network = SatComPacketNetwork(sim, internet, meter=meter, rng=rng, hour_utc=15.0)
 

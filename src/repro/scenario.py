@@ -79,9 +79,8 @@ from typing import (
 )
 
 from repro.constants import ALOHA_SLOT_S, TDMA_FRAME_S
-from repro.faults import FAULT_PROFILES
+from repro.faults import FAULT_PROFILES, KILL_POINT_FORMS, KILL_POINT_GRAMMAR
 from repro.internet.geo import COUNTRIES, SATELLITE_LONGITUDE_DEG
-from repro.kernels import ENGINES
 from repro.satcom.beams import Beam, BeamMap, build_default_beam_map
 from repro.satcom.channel import ChannelModel
 from repro.satcom.constellation import ConstellationModel
@@ -459,9 +458,6 @@ class ExecutionSpec:
     """Windows the stream producer may generate ahead of the commit
     thread; 0 runs lockstep. Peak residency is ``depth + 2`` window
     frames."""
-    engine: str = rule("python", known=("engine", ENGINES))
-    """Packet-path compute engine: ``python`` (per-packet oracle) or
-    ``vectorized`` (numpy batch kernels, digest-identical)."""
 
 
 @dataclass(frozen=True)
@@ -509,7 +505,7 @@ class FaultsSpec:
     worker_crash_rate: float = rule(0.0, "in [0, 1]")
     """Per-(window, shard) probability a forked worker dies."""
     kill_at: Tuple[str, ...] = ()
-    """Named kill-points (see ``repro.stream.stream_kill_points``)."""
+    """Named kill-points (``repro.faults.KILL_POINT_GRAMMAR``)."""
 
     @property
     def enabled(self) -> bool:
@@ -520,6 +516,14 @@ class FaultsSpec:
             or self.worker_crash_rate
             or self.kill_at
         )
+
+    def _check(self, path: str) -> None:
+        for name in self.kill_at:
+            if KILL_POINT_GRAMMAR.fullmatch(name) is None:
+                raise ScenarioError(
+                    f"{path}.kill_at",
+                    f"unknown kill-point {name!r} (known: {KILL_POINT_FORMS})",
+                )
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ Public surface:
 * :func:`load_checkpoint`, :class:`Checkpoint` — resume cursors.
 """
 
+from repro.faults import stream_kill_points
 from repro.stream.checkpoint import (
     Checkpoint,
     WindowTelemetry,
@@ -30,7 +31,6 @@ from repro.stream.producer import (
     partition_capture_key,
     plan_windows,
     run_stream_capture,
-    stream_kill_points,
 )
 from repro.stream.rollup import HistFamily, StreamRollup
 from repro.stream.store import FlowStore, WindowEntry

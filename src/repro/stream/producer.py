@@ -245,27 +245,6 @@ class StreamResult:
         return self.checkpoint.telemetry
 
 
-#: Per-window kill-point stages, in commit order: after generation,
-#: after the window spilled, after the rollup state saved, after the
-#: checkpoint committed.
-WINDOW_KILL_STAGES = ("generated", "spilled", "rollup-saved", "committed")
-
-
-def stream_kill_points(n_windows: int) -> List[str]:
-    """Every named kill-point of an ``n_windows`` stream run, in order.
-
-    The chaos crash matrix SIGKILLs the producer at each of these (via
-    ``FaultPlan(kill_at=...)``) and asserts the resumed capture is
-    bit-identical to an uninterrupted one.
-    """
-    points = ["stream:init"]
-    for index in range(n_windows):
-        points.extend(
-            f"stream:w{index}:{stage}" for stage in WINDOW_KILL_STAGES
-        )
-    return points
-
-
 def _recover_rollup(
     capture_dir: Path,
     store: FlowStore,

@@ -26,7 +26,10 @@ from repro.faults import (
     TruncateFault,
     WorkerCrash,
     atomic_write_bytes,
+    fleet_kill_points,
+    partition_kill_prefix,
     resolve_injector,
+    stream_kill_points,
 )
 from repro.scenario import ScenarioError, get_scenario
 from repro.stream import StreamConfig, run_stream_capture
@@ -315,6 +318,24 @@ def test_scenario_rejects_bad_faults():
         base.with_overrides({"faults.io_error_rate": 1.5})
     with pytest.raises(ScenarioError, match="io_fail_times"):
         base.with_overrides({"faults.io_fail_times": 0})
+
+
+def test_scenario_accepts_every_kill_point_a_capture_names():
+    base = get_scenario("baseline-geo")
+    stream = stream_kill_points(3)
+    names = stream + fleet_kill_points(3)
+    names += [partition_kill_prefix(1) + name for name in stream]
+    scenario = base.with_overrides({"faults.kill_at": names})
+    assert scenario.faults.kill_at == tuple(names)
+
+
+@pytest.mark.parametrize(
+    "name", ["stream:w0:spiled", "fleet:p1:done", "p01:stream:init"]
+)
+def test_scenario_rejects_a_kill_point_that_cannot_fire(name):
+    base = get_scenario("baseline-geo")
+    with pytest.raises(ScenarioError, match=r"^faults\.kill_at: unknown kill-point"):
+        base.with_overrides({"faults.kill_at": [name]})
 
 
 # -- end to end: chaos never changes the capture ----------------------------

@@ -419,6 +419,25 @@ def test_cli_fleet_resume_completes(reference_digest, tmp_path, capsys):
     assert f"merged digest {reference_digest}" in out
 
 
+def test_cli_fleet_resumes_manifest_with_merge_tree_key(
+    reference_digest, tmp_path, capsys
+):
+    """A ``fleet.json`` that carries the retired ``merge_tree`` key
+    still loads, and ``--resume`` finishes the fleet."""
+    fleet_dir = tmp_path / "fleet"
+    assert main(_fleet_cli_args(fleet_dir, "--partitions", "2")) == 0
+    capsys.readouterr()
+    manifest = load_fleet_manifest(fleet_dir)
+    manifest["merge_tree"] = "balanced"
+    (fleet_dir / FLEET_MANIFEST).write_text(json.dumps(manifest))
+    (fleet_dir / MERGED_ROLLUP).unlink()  # resume must merge again
+    assert load_fleet_manifest(fleet_dir)["merge_tree"] == "balanced"
+    code = main(_fleet_cli_args(fleet_dir, "--partitions", "2", "--resume"))
+    assert code == 0
+    assert f"merged digest {reference_digest}" in capsys.readouterr().out
+    assert "merge_tree" not in load_fleet_manifest(fleet_dir)
+
+
 def test_cli_fleet_rejects_bad_partition_count(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(_fleet_cli_args(tmp_path / "fleet", "--partitions", "0"))

@@ -100,3 +100,41 @@ def test_events_processed_counter():
         sim.schedule(float(i), lambda: None)
     sim.run()
     assert sim.events_processed == 3
+
+
+def test_at_batch_matches_sequential_at():
+    from repro.simnet.engine import Simulator
+
+    tasks = [(0.5, "a"), (0.1, "b"), (0.5, "c"), (0.0, "d"), (0.3, "e")]
+    seq_out, batch_out = [], []
+    seq_sim = Simulator()
+    for t, label in tasks:
+        seq_sim.at(t, seq_out.append, label)
+    seq_sim.run()
+
+    batch_sim = Simulator()
+    batch_sim.at_batch([(t, batch_out.append, (label,)) for t, label in tasks])
+    batch_sim.run()
+    assert batch_out == seq_out  # including the 0.5 tie broken by order
+
+
+def test_schedule_batch_relative_delays():
+    from repro.simnet.engine import Simulator
+
+    sim = Simulator(start_time=10.0)
+    out = []
+    events = sim.schedule_batch([(1.0, out.append, ("x",)), (0.5, out.append, ("y",))])
+    assert len(events) == 2
+    events[0].cancel()
+    sim.run()
+    assert out == ["y"]
+
+
+def test_at_batch_validates_before_mutating():
+    from repro.simnet.engine import Simulator
+
+    sim = Simulator(start_time=5.0)
+    sim.at(6.0, lambda: None)
+    with pytest.raises(ValueError):
+        sim.at_batch([(7.0, lambda: None, ()), (1.0, lambda: None, ())])
+    assert sim.pending == 1  # bad batch left the heap untouched
