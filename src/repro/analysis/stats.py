@@ -67,16 +67,6 @@ class BoxplotStats:
     p95: float
     n: int
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "p5": self.p5,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "p95": self.p95,
-            "n": self.n,
-        }
-
 
 def boxplot_stats(values: np.ndarray) -> BoxplotStats:
     """Box (quartiles) and whiskers (5th/95th percentiles)."""

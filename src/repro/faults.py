@@ -19,7 +19,7 @@ The production hooks are explicit parameters (``injector=``) on
 :func:`~repro.stream.checkpoint.write_checkpoint`,
 :meth:`~repro.stream.rollup.StreamRollup.save`,
 :class:`~repro.cache.CaptureCache`, and
-:func:`~repro.parallel.generate_window_shards` — no monkeypatching.
+:class:`~repro.parallel.ShardWorkerPool` — no monkeypatching.
 The disabled singleton :data:`NO_FAULTS` costs one no-op ``try`` per
 IO, so the hot path is unchanged when no plan is armed.
 

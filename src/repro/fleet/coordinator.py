@@ -105,17 +105,6 @@ class FleetResult:
         return sum(state.heals for state in self.states)
 
 
-def fleet_dir_paths(fleet_dir: Union[str, Path]) -> Dict[str, Path]:
-    """The artifact paths of a fleet directory, by role."""
-    fleet_dir = Path(fleet_dir)
-    return {
-        "manifest": fleet_dir / FLEET_MANIFEST,
-        "telemetry": fleet_dir / FLEET_TELEMETRY,
-        "merged": fleet_dir / MERGED_ROLLUP,
-        "partitions": fleet_dir / PARTITIONS_DIR,
-    }
-
-
 def partition_dir(fleet_dir: Union[str, Path], partition: PartitionSpec) -> Path:
     return Path(fleet_dir) / PARTITIONS_DIR / partition.name
 

@@ -11,7 +11,7 @@ completed them (which is what makes the TLS satellite-RTT trick work).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
 
 from repro.net.flowkey import Direction

@@ -15,34 +15,12 @@ Two estimators, matching Section 2.2:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.net.flowkey import Direction
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.satcom.delaysource import DelaySource
-
 _SEQ_MOD = 1 << 32
-
-
-def floor_rtt_series_ms(
-    delay_source: "DelaySource", country: str, t_s
-) -> np.ndarray:
-    """Expected satellite-RTT floor (ms) at each flow start time.
-
-    The estimator-side companion of the delay refactor: analyses that
-    compare measured handshake RTTs against the physical floor (fig8b's
-    overlay, the scorecard's GEO-vs-LEO sanity band) get the same
-    time-varying floor the generator used — static sources yield a
-    constant series, constellation sources a moving one. Pure function
-    of the timestamps; consumes no RNG.
-    """
-    t = np.asarray(t_s, dtype=np.float64)
-    static = delay_source.rtt_model.floor_rtt_s(country)
-    return (static + delay_source.floor_delta_s(country, t)) * 1000.0
 
 
 def _seq_leq(a: int, b: int) -> bool:

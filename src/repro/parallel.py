@@ -9,13 +9,14 @@ stream spawned from the config seed with
 is **bit-identical regardless of how many workers execute the shards**
 — one process or eight, the same flows come out in the same order.
 
-Workers are forked (copy-on-write) so the parent's fully initialized
-:class:`~repro.traffic.workload.WorkloadGenerator` — population,
-categorical pools, precomputed site tables — is inherited for free
-instead of being pickled per task. On platforms without ``fork`` (or
-when process creation fails, e.g. in a sandbox) execution falls back
-to an in-process loop over the same shards, preserving output
-byte-for-byte.
+One executor, :class:`ShardWorkerPool`, runs every capture's shards:
+its workers are forked once (copy-on-write) so the parent's fully
+initialized :class:`~repro.traffic.workload.WorkloadGenerator` —
+population, categorical pools, precomputed site tables — is inherited
+for free instead of being pickled per task. On platforms without
+``fork`` (or when process creation fails, e.g. in a sandbox)
+execution falls back to an in-process loop over the same shards,
+preserving output byte-for-byte.
 """
 
 from __future__ import annotations
@@ -136,204 +137,100 @@ def resolve_workers(n_workers: Union[int, str, None], slots: int = 1) -> int:
     return n_workers
 
 
-# The forked workers read the generator from this module global instead
-# of unpickling it per task (copy-on-write: no serialization of the
-# population or the precomputed site tables).
-_WORKER_GENERATOR: Optional["WorkloadGenerator"] = None
+# -- shard execution ---------------------------------------------------------
 
 
-def _run_shard(shard: ShardSpec) -> Optional["FlowFrame"]:
-    assert _WORKER_GENERATOR is not None, "worker started without a generator"
-    return _WORKER_GENERATOR.generate_shard(shard)
-
-
-def generate_shards(
-    generator: "WorkloadGenerator",
-    shards: Sequence[ShardSpec],
-    n_workers: int,
-) -> List[Optional["FlowFrame"]]:
-    """Generate every shard, in parallel when possible.
-
-    Returns one optional frame per shard, **in shard order** (a shard
-    whose customers produce no flows yields ``None``). Output is
-    independent of ``n_workers``.
-    """
-    n_workers = min(n_workers, len(shards))
-    if n_workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        global _WORKER_GENERATOR
-        _WORKER_GENERATOR = generator
-        try:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=n_workers, mp_context=context
-            ) as pool:
-                return list(pool.map(_run_shard, shards))
-        except (OSError, PermissionError) as exc:  # pragma: no cover
-            warnings.warn(
-                f"parallel generation unavailable ({exc}); falling back to "
-                "in-process execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        finally:
-            _WORKER_GENERATOR = None
-    return [generator.generate_shard(shard) for shard in shards]
-
-
-# -- streaming windows -------------------------------------------------------
-
-
-def spawn_window_seed(
-    seed: int, shard: ShardSpec, n_windows: int, window_index: int
+def shard_seed(
+    seed: int, shard: ShardSpec, window: Optional[Tuple[int, int]] = None
 ) -> np.random.SeedSequence:
-    """The RNG stream of one (shard, window) cell of a streaming capture.
+    """The RNG stream of one shard, or of one (shard, window) cell.
 
-    Derived in two spawn levels — shard first, then window — so the
-    stream is a pure function of ``(seed, n_shards, shard index,
-    n_windows, window index)``: any subset of windows can be
-    (re)generated in any order, by any process, and sample the same
-    flows. This is what makes checkpoint/resume bit-identical (see
+    The one-shot stream of shard *i* is
+    ``SeedSequence(seed).spawn(n_shards)[i]``; a streaming cell,
+    ``window=(n_windows, window_index)``, spawns one level further.
+    Either way the stream is a pure function of the seed and the
+    coordinates: any subset of cells can be (re)generated in any order,
+    by any process, and sample the same flows. This is what makes
+    worker counts and checkpoint/resume invisible in the output (see
     :mod:`repro.stream.checkpoint`).
     """
-    shard_seq = np.random.SeedSequence(seed).spawn(shard.n_shards)[shard.index]
-    return shard_seq.spawn(n_windows)[window_index]
+    sequence = np.random.SeedSequence(seed).spawn(shard.n_shards)[shard.index]
+    if window is None:
+        return sequence
+    n_windows, window_index = window
+    return sequence.spawn(n_windows)[window_index]
 
 
-# (generator, n_windows, window_index, day_lo, day_hi, injector,
-# parent_pid) read by forked window workers, mirroring
-# _WORKER_GENERATOR above. parent_pid gates crash injection: only a
-# forked child may die, never the in-process fallback.
-_WORKER_WINDOW: Optional[
-    Tuple["WorkloadGenerator", int, int, int, int, FaultInjector, int]
-] = None
+#: One task: (shard, window, day_lo, day_hi). ``window`` is
+#: ``(n_windows, window_index)`` for a streaming cell and ``None`` for
+#: the one-shot shard stream.
+_Task = Tuple[ShardSpec, Optional[Tuple[int, int]], int, int]
 
 
-def _run_window_shard(shard: ShardSpec) -> Optional["FlowFrame"]:
-    assert _WORKER_WINDOW is not None, "worker started without window context"
-    generator, n_windows, window_index, day_lo, day_hi, injector, parent_pid = (
-        _WORKER_WINDOW
-    )
-    if os.getpid() != parent_pid and injector.crash_worker(
-        window_index, shard.index
+def _generate(
+    generator: "WorkloadGenerator",
+    injector: FaultInjector,
+    task: _Task,
+    forked: bool,
+) -> Optional["FlowFrame"]:
+    """One task's frame, in a forked worker or in the parent.
+
+    Only a forked worker of a streaming cell may be crash-injected;
+    the in-process fallback that heals the crash never is.
+    """
+    shard, window, day_lo, day_hi = task
+    if (
+        forked
+        and window is not None
+        and injector.crash_worker(window[1], shard.index)
     ):
         # A forked worker dying mid-shard: no cleanup, no return value,
         # the parent's pool surfaces BrokenProcessPool.
         os._exit(66)
-    rng = np.random.default_rng(
-        spawn_window_seed(generator.config.seed, shard, n_windows, window_index)
-    )
+    rng = np.random.default_rng(shard_seed(generator.config.seed, shard, window))
     return generator.generate_shard_days(shard, day_lo, day_hi, rng)
 
 
-def generate_window_shards(
-    generator: "WorkloadGenerator",
-    shards: Sequence[ShardSpec],
-    n_windows: int,
-    window_index: int,
-    day_lo: int,
-    day_hi: int,
-    n_workers: int,
-    injector: Optional[FaultInjector] = None,
-) -> List[Optional["FlowFrame"]]:
-    """Generate every shard of one time window, in shard order.
-
-    The streaming counterpart of :func:`generate_shards`: same fork
-    pool, same in-process fallback, same contract that ``n_workers``
-    never changes a byte of the output. A worker killed mid-window
-    (injected via ``injector`` or real) costs the pool, not the run:
-    the parent falls back to in-process generation of the same shards,
-    which samples the same RNG streams and yields identical frames.
-    """
-    global _WORKER_WINDOW
-    injector = injector if injector is not None else NO_FAULTS
-    n_workers = min(n_workers, len(shards))
-    context_value = (
-        generator, n_windows, window_index, day_lo, day_hi, injector, os.getpid()
-    )
-    if n_workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        _WORKER_WINDOW = context_value
-        try:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=n_workers, mp_context=context
-            ) as pool:
-                return list(pool.map(_run_window_shard, shards))
-        except (OSError, PermissionError) as exc:  # pragma: no cover
-            warnings.warn(
-                f"parallel window generation unavailable ({exc}); falling "
-                "back to in-process execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        except BrokenProcessPool:
-            injector.stats.worker_crashes += 1
-            warnings.warn(
-                f"worker process died generating window {window_index}; "
-                "regenerating its shards in-process (output unchanged)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        finally:
-            _WORKER_WINDOW = None
-    _WORKER_WINDOW = context_value
-    try:
-        return [_run_window_shard(shard) for shard in shards]
-    finally:
-        _WORKER_WINDOW = None
+# (generator, injector) of a forked worker, set once by the pool's
+# initializer. A fork hands the initializer its arguments by
+# copy-on-write, never by pickling, and the parent never sets it.
+_POOL_CONTEXT: Optional[Tuple["WorkloadGenerator", FaultInjector]] = None
 
 
-# -- persistent pool ---------------------------------------------------------
+def _init_worker(generator: "WorkloadGenerator", injector: FaultInjector) -> None:
+    global _POOL_CONTEXT
+    _POOL_CONTEXT = (generator, injector)
 
 
-# (generator, injector, parent_pid) inherited copy-on-write by the
-# persistent pool's forked workers. Unlike _WORKER_WINDOW this stays
-# set for the pool's whole lifetime: the window coordinates travel as
-# small picklable per-task arguments instead, so one fork serves every
-# window of the capture.
-_POOL_CONTEXT: Optional[Tuple["WorkloadGenerator", FaultInjector, int]] = None
-
-#: One pool task: (shard, n_windows, window_index, day_lo, day_hi).
-_PoolTask = Tuple[ShardSpec, int, int, int, int]
-
-
-def _run_pool_task(task: _PoolTask) -> Optional["FlowFrame"]:
+def _run_pool_task(task: _Task) -> Optional["FlowFrame"]:
     assert _POOL_CONTEXT is not None, "pool worker started without context"
-    generator, injector, parent_pid = _POOL_CONTEXT
-    shard, n_windows, window_index, day_lo, day_hi = task
-    if os.getpid() != parent_pid and injector.crash_worker(
-        window_index, shard.index
-    ):
-        os._exit(66)
-    rng = np.random.default_rng(
-        spawn_window_seed(generator.config.seed, shard, n_windows, window_index)
-    )
-    return generator.generate_shard_days(shard, day_lo, day_hi, rng)
+    generator, injector = _POOL_CONTEXT
+    return _generate(generator, injector, task, forked=True)
 
 
 class ShardWorkerPool:
-    """A fork pool kept hot across the windows of a streaming capture.
+    """The fork pool every capture generates its shards on.
 
-    :func:`generate_window_shards` re-forks a fresh
-    ``ProcessPoolExecutor`` for every window, paying process spawn and
-    teardown per window. This pool forks **once** — the workers inherit
-    the fully initialized generator copy-on-write via
-    :data:`_POOL_CONTEXT` — and then serves every window over the same
-    processes; only the tiny ``(shard, window)`` coordinates cross the
-    pipe per task. Output is byte-identical to the per-window pool and
-    to serial execution because each (shard, window) cell draws from
-    its own :func:`spawn_window_seed` stream.
+    The pool forks **once** — the workers inherit the fully initialized
+    generator (population, categorical pools, site tables)
+    copy-on-write — and then serves every task of the capture: each
+    window of a streaming capture (:meth:`generate_window`), or the
+    one-shot capture's day range (:meth:`generate_days`). Only the tiny
+    task tuple crosses the pipe. The output is byte-identical for any
+    worker count, and to in-process execution, because each task draws
+    from its own :func:`shard_seed` stream.
 
     Fork-with-threads note: with the ``fork`` start method the executor
     launches *all* workers in its constructor, so creating the pool
     before any sibling thread starts (the pipelined producer's commit
     thread) guarantees the children never inherit a mid-held lock. A
-    worker killed mid-window breaks the executor; the window is then
+    worker killed mid-task breaks the executor; the tasks are then
     regenerated in-process (identical frames) and the pool is lazily
-    re-forked for the next window — the only fork that can race a live
+    re-forked for the next call — the only fork that can race a live
     thread, and the children run nothing but generator code.
 
     On platforms without ``fork``, with ``n_workers <= 1``, or when
-    process creation fails outright, every window runs in-process.
+    process creation fails outright, every task runs in-process.
     """
 
     def __init__(
@@ -354,33 +251,26 @@ class ShardWorkerPool:
     # -- lifecycle -----------------------------------------------------
 
     def _ensure_executor(self) -> Optional[ProcessPoolExecutor]:
-        global _POOL_CONTEXT
         if self._executor is not None or self._serial_forever:
             return self._executor
-        _POOL_CONTEXT = (self.generator, self.injector, os.getpid())
         try:
-            context = multiprocessing.get_context("fork")
             # Forks all n_workers children right here (fork pools do not
-            # spawn lazily) — each snapshots _POOL_CONTEXT.
+            # spawn lazily); each runs _init_worker once.
             self._executor = ProcessPoolExecutor(
-                max_workers=self.n_workers, mp_context=context
+                max_workers=self.n_workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(self.generator, self.injector),
             )
         except (OSError, PermissionError) as exc:  # pragma: no cover
             warnings.warn(
-                f"persistent worker pool unavailable ({exc}); generating "
-                "windows in-process",
+                f"worker pool unavailable ({exc}); generating shards "
+                "in-process",
                 RuntimeWarning,
                 stacklevel=3,
             )
             self._serial_forever = True
-            _POOL_CONTEXT = None
         return self._executor
-
-    def _discard_executor(self) -> None:
-        # _POOL_CONTEXT stays set: the next window lazily re-forks.
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
 
     def warm(self) -> None:
         """Fork the workers now (no-op when running serially).
@@ -393,11 +283,9 @@ class ShardWorkerPool:
 
     def close(self) -> None:
         """Shut the workers down (idempotent)."""
-        global _POOL_CONTEXT
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-        _POOL_CONTEXT = None
 
     def __enter__(self) -> "ShardWorkerPool":
         self._ensure_executor()
@@ -416,49 +304,44 @@ class ShardWorkerPool:
         day_lo: int,
         day_hi: int,
     ) -> List[Optional["FlowFrame"]]:
-        """One window's shard frames, in shard order.
+        """One streaming window's shard frames, in shard order."""
+        window = (n_windows, window_index)
+        return self._run(
+            [(shard, window, day_lo, day_hi) for shard in shards],
+            f"window {window_index}",
+        )
 
-        Same contract as :func:`generate_window_shards`: the worker
-        count never changes a byte of the output, and a worker crash
-        costs the pool, not the run — the window is regenerated
-        in-process from the same RNG streams.
-        """
+    def generate_days(
+        self, shards: Sequence[ShardSpec], day_lo: int, day_hi: int
+    ) -> List[Optional["FlowFrame"]]:
+        """Days ``[day_lo, day_hi)`` of each one-shot shard stream, in
+        shard order (a shard with no flows yields ``None``)."""
+        return self._run(
+            [(shard, None, day_lo, day_hi) for shard in shards],
+            f"days [{day_lo}, {day_hi})",
+        )
+
+    def _run(
+        self, tasks: List[_Task], label: str
+    ) -> List[Optional["FlowFrame"]]:
+        # A worker crash costs the pool, not the run: the tasks are
+        # regenerated in-process from the same streams.
         executor = self._ensure_executor()
         if executor is not None:
-            tasks = [
-                (shard, n_windows, window_index, day_lo, day_hi)
-                for shard in shards
-            ]
             try:
                 return list(executor.map(_run_pool_task, tasks))
             except BrokenProcessPool:
                 self.injector.stats.worker_crashes += 1
                 warnings.warn(
-                    f"pool worker died generating window {window_index}; "
-                    "regenerating its shards in-process (output unchanged) "
-                    "and re-forking the pool",
+                    f"pool worker died generating {label}; regenerating "
+                    "its shards in-process (output unchanged) and "
+                    "re-forking the pool",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
-                self._discard_executor()
+                executor.shutdown(wait=False, cancel_futures=True)
+                self._executor = None
         return [
-            self._generate_local(shard, n_windows, window_index, day_lo, day_hi)
-            for shard in shards
+            _generate(self.generator, self.injector, task, forked=False)
+            for task in tasks
         ]
-
-    def _generate_local(
-        self,
-        shard: ShardSpec,
-        n_windows: int,
-        window_index: int,
-        day_lo: int,
-        day_hi: int,
-    ) -> Optional["FlowFrame"]:
-        # In-process execution never crash-injects (mirrors the
-        # parent_pid gate of the forked path).
-        rng = np.random.default_rng(
-            spawn_window_seed(
-                self.generator.config.seed, shard, n_windows, window_index
-            )
-        )
-        return self.generator.generate_shard_days(shard, day_lo, day_hi, rng)

@@ -12,7 +12,7 @@ Two entry points mirror the reproduction's two fidelity levels:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,7 +26,7 @@ from repro.internet.topology import InternetModel
 from repro.net.cryptopan import PrefixPreservingAnonymizer
 from repro.satcom.apps import TlsClientApp, TlsServerApp
 from repro.satcom.delay_model import SatelliteRttModel
-from repro.satcom.network import CustomerHost, SatComPacketNetwork, ServerHost
+from repro.satcom.network import CustomerHost, SatComPacketNetwork
 from repro.simnet.engine import Simulator
 from repro.traffic.services import SERVICES
 from repro.traffic.subscribers import Population, synthesize_population

@@ -17,7 +17,7 @@ re-folds the rollup from the committed windows instead of refusing.)
 
 Resume is *bit-identical* to an uninterrupted run because each
 (shard, window) cell draws from its own
-``SeedSequence``-derived stream (:func:`repro.parallel.spawn_window_seed`)
+``SeedSequence``-derived stream (:func:`repro.parallel.shard_seed`)
 — regenerating window *k* needs no RNG state from windows ``< k`` —
 and because the rollup folds windows in index order with associative
 merges, so "load saved state, keep folding" reproduces the exact

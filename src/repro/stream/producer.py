@@ -5,7 +5,7 @@ packet stream and periodically ships aggregated views. This module
 gives the synthetic generator the same shape: the capture's day range
 is cut into fixed-length windows, each (shard, window) cell samples
 from its own ``SeedSequence``-derived RNG stream
-(:func:`repro.parallel.spawn_window_seed`), and the orchestrator folds
+(:func:`repro.parallel.shard_seed`), and the orchestrator folds
 every window into mergeable rollups and spills it to disk before
 moving on — peak memory holds one window, never the capture.
 
@@ -39,7 +39,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.analysis.source import CaptureError
 from repro.cache import stream_capture_key
 from repro.constants import SECONDS_PER_DAY
 from repro.faults import FaultInjector, FaultPlan, FaultStats, resolve_injector
-from repro.parallel import ShardWorkerPool, generate_window_shards, resolve_workers
+from repro.parallel import ShardWorkerPool, resolve_workers
 from repro.stream.checkpoint import (
     Checkpoint,
     WindowTelemetry,
@@ -151,7 +151,7 @@ class WindowedProducer:
     ``shards`` restricts generation to a subset of the generator's full
     shard plan (a ``repro.fleet`` partition). The :class:`ShardSpec`
     entries keep their full-plan ``index``/``n_shards``, so each
-    (shard, window) cell draws the *same* ``spawn_window_seed`` stream
+    (shard, window) cell draws the *same* ``shard_seed`` stream
     it would in an unrestricted run — which is what makes partitioned
     captures bit-identical slices of the single-process capture.
     """
@@ -169,40 +169,21 @@ class WindowedProducer:
         )
 
     def generate_window(
-        self,
-        window: WindowSpec,
-        n_workers: int = 1,
-        injector: Optional[FaultInjector] = None,
-        pool: Optional[ShardWorkerPool] = None,
+        self, window: WindowSpec, pool: ShardWorkerPool
     ) -> FlowFrame:
         """One window's flows, merged in shard order (never ``None`` —
         a windowless window yields an empty frame with the pools).
 
-        ``pool`` routes shard generation through a persistent
-        :class:`~repro.parallel.ShardWorkerPool` (forked once, reused
-        across windows); without one, a transient per-window pool is
-        used. Either way the output is byte-identical.
+        The shards generate on ``pool`` (forked once, reused across
+        windows); its worker count never changes a byte.
         """
-        shards = self.shards
-        if pool is not None:
-            shard_frames = pool.generate_window(
-                shards,
-                len(self.windows),
-                window.index,
-                window.day_lo,
-                window.day_hi,
-            )
-        else:
-            shard_frames = generate_window_shards(
-                self.generator,
-                shards,
-                len(self.windows),
-                window.index,
-                window.day_lo,
-                window.day_hi,
-                n_workers,
-                injector=injector,
-            )
+        shard_frames = pool.generate_window(
+            self.shards,
+            len(self.windows),
+            window.index,
+            window.day_lo,
+            window.day_hi,
+        )
         frames = [frame for frame in shard_frames if frame is not None]
         if not frames:
             g = self.generator
@@ -217,13 +198,6 @@ class WindowedProducer:
         if len(frames) == 1:
             return frames[0]
         return FlowFrame.concat(frames)
-
-    def iter_windows(
-        self, start: int = 0, n_workers: int = 1
-    ) -> Iterator[Tuple[WindowSpec, FlowFrame]]:
-        """Yield ``(window, frame)`` from window ``start`` onward."""
-        for window in self.windows[start:]:
-            yield window, self.generate_window(window, n_workers=n_workers)
 
 
 @dataclass
@@ -383,8 +357,7 @@ def _run_pipelined(
     todo: List[WindowSpec],
     committer: _WindowCommitter,
     injector: FaultInjector,
-    workers: int,
-    pool: Optional[ShardWorkerPool],
+    pool: ShardWorkerPool,
     depth: int,
 ) -> None:
     """Overlap generation with the commit sequence.
@@ -424,9 +397,7 @@ def _run_pipelined(
             if failure:
                 break
             t0 = time.perf_counter()
-            frame = producer.generate_window(
-                window, n_workers=workers, injector=injector, pool=pool
-            )
+            frame = producer.generate_window(window, pool)
             gen_seconds = time.perf_counter() - t0
             injector.kill_point(f"stream:w{window.index}:generated")
             in_flight.put((window, frame, gen_seconds))
@@ -597,9 +568,7 @@ def run_stream_capture(
             # Lockstep: generate → commit, one thread, one frame resident.
             for window in todo:
                 t0 = time.perf_counter()
-                frame = producer.generate_window(
-                    window, n_workers=workers, injector=injector, pool=pool
-                )
+                frame = producer.generate_window(window, pool)
                 gen_seconds = time.perf_counter() - t0
                 injector.kill_point(f"stream:w{window.index}:generated")
                 committer.commit(window, frame, gen_seconds)
@@ -610,7 +579,6 @@ def run_stream_capture(
                 todo,
                 committer,
                 injector,
-                workers,
                 pool,
                 config.pipeline_depth,
             )

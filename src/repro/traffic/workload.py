@@ -35,10 +35,11 @@ from repro.internet.servers import SelectionPolicy, deployment
 from repro.internet.topology import InternetModel
 from repro.parallel import (
     ShardSpec,
+    ShardWorkerPool,
     default_shard_count,
-    generate_shards,
     plan_shards,
     resolve_workers,
+    shard_seed,
 )
 from repro.satcom.beams import (
     BeamMap,
@@ -496,12 +497,10 @@ class WorkloadGenerator:
         bit-identical for any ``n_workers`` (see DESIGN.md §7).
         """
         shards = self.shard_plan()
-        workers = resolve_workers(self.config.n_workers)
-        frames = [
-            frame
-            for frame in generate_shards(self, shards, workers)
-            if frame is not None
-        ]
+        workers = min(resolve_workers(self.config.n_workers), len(shards))
+        with ShardWorkerPool(self, workers) as pool:
+            shard_frames = pool.generate_days(shards, 0, self.config.days)
+        frames = [frame for frame in shard_frames if frame is not None]
         if not frames:
             raise RuntimeError("workload produced no flows")
         if len(frames) == 1:
@@ -514,10 +513,7 @@ class WorkloadGenerator:
         Draws from the shard's own spawned RNG stream; ``None`` when
         the shard's customers produce no flows at all (tiny configs).
         """
-        seed = np.random.SeedSequence(self.config.seed).spawn(shard.n_shards)[
-            shard.index
-        ]
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(shard_seed(self.config.seed, shard))
         return self.generate_shard_days(shard, 0, self.config.days, rng)
 
     def generate_shard_days(

@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis.dataset import _ARRAY_FIELDS
 from repro.flowmeter.records import L7Protocol, L7_ORDER
+from repro.parallel import ShardWorkerPool
 from repro.stream import HistFamily, StreamRollup, WindowedProducer
 from repro.traffic.workload import WorkloadConfig, WorkloadGenerator
 
@@ -123,7 +124,8 @@ def window_rollups(request):
     def single(frame):
         return StreamRollup(*pools).update(frame)
 
-    frames = [producer.generate_window(w) for w in producer.windows]
+    with ShardWorkerPool(generator, 1) as pool:
+        frames = [producer.generate_window(w, pool) for w in producer.windows]
     return pools, frames, single
 
 

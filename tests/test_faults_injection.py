@@ -233,19 +233,19 @@ def test_crash_worker_targets_cells():
     reason="needs fork workers",
 )
 def test_worker_crash_falls_back_bit_identical():
-    from repro.parallel import generate_window_shards, plan_shards
+    from repro.parallel import ShardWorkerPool, plan_shards
     from repro.traffic.workload import WorkloadGenerator
 
     generator = WorkloadGenerator(WorkloadConfig(n_customers=300, days=2, seed=5))
     shards = plan_shards(300, 2)
-    clean = generate_window_shards(generator, shards, 2, 0, 0, 1, n_workers=2)
+    with ShardWorkerPool(generator, 2) as pool:
+        clean = pool.generate_window(shards, 2, 0, 0, 1)
     injector = FaultInjector(
         FaultPlan(worker_crashes=(WorkerCrash(rate=1.0),))
     )
-    with pytest.warns(RuntimeWarning, match="worker process died"):
-        chaotic = generate_window_shards(
-            generator, shards, 2, 0, 0, 1, n_workers=2, injector=injector
-        )
+    with ShardWorkerPool(generator, 2, injector=injector) as pool:
+        with pytest.warns(RuntimeWarning, match="pool worker died"):
+            chaotic = pool.generate_window(shards, 2, 0, 0, 1)
     assert injector.stats.worker_crashes >= 1
     assert len(clean) == len(chaotic)
     from repro.analysis.dataset import _ARRAY_FIELDS
@@ -257,6 +257,31 @@ def test_worker_crash_falls_back_bit_identical():
                 x, y = getattr(a, name), getattr(b, name)
                 nan_ok = np.issubdtype(x.dtype, np.floating)
                 assert np.array_equal(x, y, equal_nan=nan_ok), name
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork workers",
+)
+def test_dying_workers_capture_heals_to_clean_digest(tmp_path):
+    """The documented ``dying-workers`` profile through the capture's
+    own pool: crashed windows regenerate in-process, bytes unchanged."""
+    config = get_scenario("baseline-geo").with_overrides(
+        {
+            "population.n_customers": 120,
+            "workload.days": 3,
+            "workload.n_shards": 4,
+            "execution.workers": 2,
+            "execution.compress": False,
+        }
+    ).stream_config()
+    clean = run_stream_capture(config, tmp_path / "clean")
+    with pytest.warns(RuntimeWarning, match="pool worker died"):
+        chaotic = run_stream_capture(
+            config, tmp_path / "chaos", faults=FAULT_PROFILES["dying-workers"]
+        )
+    assert chaotic.fault_stats.worker_crashes > 0
+    assert chaotic.rollup.state_digest() == clean.rollup.state_digest()
 
 
 # -- stats ------------------------------------------------------------------

@@ -30,6 +30,7 @@ from repro.analysis.reports import (
 )
 from repro.cache import config_cache_key, stream_capture_key
 from repro.cli import main
+from repro.parallel import ShardWorkerPool
 from repro.stream import (
     Checkpoint,
     FlowStore,
@@ -66,8 +67,10 @@ def tiny_frames():
     config = StreamConfig(workload=TINY, window_days=1)
     from repro.stream import WindowedProducer
 
-    producer = WindowedProducer(WorkloadGenerator(TINY), 1)
-    frames = [producer.generate_window(w) for w in producer.windows]
+    generator = WorkloadGenerator(TINY)
+    producer = WindowedProducer(generator, 1)
+    with ShardWorkerPool(generator, 1) as pool:
+        frames = [producer.generate_window(w, pool) for w in producer.windows]
     return frames
 
 
@@ -106,8 +109,10 @@ def test_stream_capture_key_covers_window_plan():
 def test_windowed_generation_is_deterministic(tiny_frames):
     from repro.stream import WindowedProducer
 
-    producer = WindowedProducer(WorkloadGenerator(TINY), 1)
-    again = [producer.generate_window(w) for w in producer.windows]
+    generator = WorkloadGenerator(TINY)
+    producer = WindowedProducer(generator, 1)
+    with ShardWorkerPool(generator, 1) as pool:
+        again = [producer.generate_window(w, pool) for w in producer.windows]
     for a, b in zip(tiny_frames, again):
         _assert_frames_identical(a, b)
 
@@ -122,8 +127,10 @@ def test_window_days_stay_in_range(tiny_frames):
 def test_worker_count_does_not_change_window_output(tiny_frames):
     from repro.stream import WindowedProducer
 
-    producer = WindowedProducer(WorkloadGenerator(TINY), 1)
-    parallel = producer.generate_window(producer.windows[1], n_workers=4)
+    generator = WorkloadGenerator(TINY)
+    producer = WindowedProducer(generator, 1)
+    with ShardWorkerPool(generator, 4) as pool:
+        parallel = producer.generate_window(producer.windows[1], pool)
     _assert_frames_identical(tiny_frames[1], parallel)
 
 

@@ -177,15 +177,20 @@ def test_commit_failure_surfaces_on_main_thread(tmp_path):
     assert resumed.rollup.state_digest() == reference.rollup.state_digest()
 
 
-def test_shard_pool_matches_transient_generation():
+def test_shard_pool_matches_shard_seed_generation():
     import multiprocessing
 
-    from repro.parallel import ShardWorkerPool, generate_window_shards
+    from repro.parallel import ShardWorkerPool, shard_seed
     from repro.traffic.workload import WorkloadConfig, WorkloadGenerator
 
     generator = WorkloadGenerator(WorkloadConfig(n_customers=40, days=2, seed=5))
     shards = generator.shard_plan()
-    reference = generate_window_shards(generator, shards, 2, 0, 0, 1, 1)
+    reference = [
+        generator.generate_shard_days(
+            shard, 0, 1, np.random.default_rng(shard_seed(5, shard, window=(2, 0)))
+        )
+        for shard in shards
+    ]
 
     worker_counts = [1]
     if "fork" in multiprocessing.get_all_start_methods():
