@@ -110,9 +110,10 @@ def fleet_partition_dirs(tmp_path_factory):
 
 @pytest.mark.benchmark(group="micro")
 def test_micro_fleet_merge(benchmark, fleet_partition_dirs):
-    """The fleet reduce step: 4 partitions, one frame concat per window.
-    Guards the frame-concat merge staying IO-bound — the windows are
-    re-read and re-folded every round, nothing is cached between runs."""
+    """The fleet reduce step: 4 partitions. Each round loads and
+    verifies the partition states, merges them, and folds the ordered
+    banks again from a projected read of every window; nothing is
+    cached between rounds."""
     from repro.fleet import merge_partition_captures
 
     rollup = benchmark(merge_partition_captures, fleet_partition_dirs)

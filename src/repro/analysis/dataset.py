@@ -9,7 +9,7 @@ group in milliseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-import numpy as np
-
 from repro.analysis.aggregate import format_table
 from repro.analysis.dataset import FlowFrame
 from repro.analysis.stats import BoxplotStats, boxplot_stats

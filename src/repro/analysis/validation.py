@@ -8,7 +8,7 @@ pass flag — printable as a table and consumable by tests and the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 

@@ -8,7 +8,7 @@ link conditions, estimate object-fetch and page-load times, or emit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

@@ -43,7 +43,7 @@ import os
 import re
 import signal
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fnmatch import fnmatch
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union

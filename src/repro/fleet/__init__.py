@@ -12,9 +12,10 @@ processes and reduces their outputs. The package is four small layers:
 * :mod:`repro.fleet.coordinator` — the bounded dispatch pool,
   straggler detection via checkpoint progress, crash healing through
   the resume path, and the ``fleet.json`` manifest;
-* :mod:`repro.fleet.merge` — the window-by-window concatenation that
-  reduces partition captures into one ``merged_rollup.npz``,
-  bit-identical to the single-process stream digest.
+* :mod:`repro.fleet.merge` — the state merge, plus a window-by-window
+  refold of the order-sensitive sums, that reduces partition captures
+  into one ``merged_rollup.npz``, bit-identical to the single-process
+  stream digest.
 
 See DESIGN.md §13.
 """

@@ -1,25 +1,18 @@
 """Reduce completed partition captures into one analysis-ready rollup.
 
-Bit-identity is the whole design. ``StreamRollup.merge`` of partition
-*states* cannot reproduce the single-process digest exactly — the
-byte-volume accumulators are float sums, and float addition is not
-associative across regroupings (integer state is exact under
-regrouping, float state only ``allclose``). What *is* exact is frame
-concatenation: ``FlowFrame.concat`` is a pure pool-validated
-``np.concatenate``, so one window's partition frames, concatenated in
-partition order (which is shard order), are the single-process window
-frame byte for byte.
-
-The merge therefore works at **window-frame granularity**: each
-window's partition frames are concatenated once and folded into a
-fresh :class:`StreamRollup` in window-index order — the byte-exact
-float-addition order of the single-process ``_WindowCommitter`` fold.
-Memory stays bounded: one window's frames are resident at a time,
-never the capture.
-
-Per-partition ``rollup.npz``/checkpoint digests remain as integrity
-guards (``verify=True`` re-checks them before merging), exactly the
-contract :func:`~repro.stream.producer._recover_rollup` relies on.
+Bit-identity is the whole design. A customer lives in exactly one
+partition, so merging the partition rollup states is exact for every
+count, minimum and set, and for every float sum keyed by customer,
+customer-day or session. Only the float sums over many customers (the
+banks :class:`StreamRollup` marks ``ordered``, and ``vol_day``) depend
+on flow order, as float addition is not associative. The merge takes
+the verified partition states, merges them, and folds the ordered
+state again in window order from a projected read of
+:attr:`StreamRollup.ORDERED_COLUMNS` (and the session columns, if the
+capture has sessions). One window's partition columns, concatenated in
+partition order (shard order), are the single-process window's columns
+byte for byte, so the sums add in the single-process order. One
+window's projected columns are resident at a time.
 """
 
 from __future__ import annotations
@@ -27,9 +20,11 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Union
+from types import SimpleNamespace
+from typing import Dict, Optional, Sequence, Union
 
-from repro.analysis.dataset import FlowFrame
+import numpy as np
+
 from repro.analysis.source import CaptureError
 from repro.stream.checkpoint import load_checkpoint, rollup_path
 from repro.stream.rollup import StreamRollup
@@ -40,9 +35,9 @@ from repro.stream.store import FlowStore
 class MergeStats:
     """Where a merge's time went, filled in by
     :func:`merge_partition_captures`: ``assemble_s`` reads each window's
-    partition frames and concatenates them, ``fold_s`` folds the result
-    into the merged rollup; ``seconds`` is the whole merge, partition
-    verification included."""
+    projected partition columns and concatenates them, ``fold_s`` merges
+    the partition states and folds the ordered state again; ``seconds``
+    is the whole merge, partition verification included."""
 
     seconds: float = 0.0
     assemble_s: float = 0.0
@@ -63,18 +58,15 @@ class MergeStats:
 
 def merge_partition_captures(
     directories: Sequence[Union[str, Path]],
-    verify: bool = True,
-    on_window: Optional[Callable[[int, int], None]] = None,
     stats: Optional[MergeStats] = None,
 ) -> StreamRollup:
     """Merge completed partition capture directories into one rollup.
 
-    ``directories`` must be in partition-index order. With
-    ``verify=True`` every partition's saved rollup state is re-checked
-    against its checkpoint digest first, so a torn partition artifact
-    is diagnosed here instead of corrupting the merge. ``on_window``
-    observes ``(window_index, flows)`` as each window folds; ``stats``,
-    if given, receives the merge's time split.
+    ``directories`` must be in partition-index order. Every partition's
+    saved rollup state is checked against its checkpoint digest before
+    it is merged, so a torn partition artifact is diagnosed here
+    instead of corrupting the merge; partitions that share a customer
+    are refused. ``stats``, if given, receives the merge's time split.
 
     The result's ``state_digest()`` equals the single-process
     ``repro stream`` digest of the same scenario — the fleet acceptance
@@ -104,31 +96,49 @@ def merge_partition_captures(
                 f"{directory}: window plan differs from partition 0 — "
                 "the partitions belong to different captures"
             )
-    if verify:
-        for directory, checkpoint in zip(directories, checkpoints):
-            saved = StreamRollup.load(rollup_path(directory))
-            if saved.state_digest() != checkpoint.rollup_digest:
-                raise CaptureError(
-                    f"{directory}: rollup state does not match its "
-                    "checkpoint digest — partition is corrupt"
-                )
-    pools = stores[0].pools
-    rollup = StreamRollup(
-        pools["countries"], pools["services"], pools["resolvers"]
-    )
+    states = []
+    for directory, checkpoint in zip(directories, checkpoints):
+        state = StreamRollup.load(rollup_path(directory))
+        if state.state_digest() != checkpoint.rollup_digest:
+            raise CaptureError(
+                f"{directory}: rollup state does not match its "
+                "checkpoint digest — partition is corrupt"
+            )
+        states.append(state)
+
+    t0 = time.perf_counter()
+    rollup, seen = states[0], set()
+    for directory, state in zip(directories, states):
+        ids = {cid for country in state.countries for cid in state.customers_of(country)}
+        if not seen.isdisjoint(ids):
+            raise CaptureError(
+                f"{directory}: shares customers with an earlier partition — "
+                "the partitions belong to different captures"
+            )
+        seen |= ids
+        if state is not rollup:
+            rollup.merge(state)
+    refold = StreamRollup(rollup.countries, rollup.services, rollup.resolvers)
+    columns = StreamRollup.ORDERED_COLUMNS
+    if rollup.qoe_sessions.any():
+        columns += StreamRollup.SESSION_COLUMNS
+    stats.fold_s += time.perf_counter() - t0
     for entry in entries:
         t0 = time.perf_counter()
-        frame = FlowFrame.concat(
-            [store.read_window(entry.index) for store in stores]
-        )
+        parts = [store.read_window(entry.index, columns=columns) for store in stores]
+        window = SimpleNamespace(countries=rollup.countries, **{
+            name: np.concatenate([part[name] for part in parts]) for name in columns
+        })
+        del parts
         t1 = time.perf_counter()
-        rollup.update(frame)
+        if len(window.day):
+            refold.fold_ordered(window)
         stats.assemble_s += t1 - t0
         stats.fold_s += time.perf_counter() - t1
         stats.windows += 1
-        stats.flows += len(frame)
-        if on_window is not None:
-            on_window(entry.index, len(frame))
-        del frame
+        stats.flows += len(window.day)
+        del window
+    rollup.take_ordered(refold)
+    rollup.windows_folded = len(entries)
     stats.seconds = time.perf_counter() - start
     return rollup

@@ -15,7 +15,7 @@ the paper's ground-RTT bumps.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.internet.geo import SERVER_SITES, Location, geodesic_km

@@ -10,14 +10,14 @@ cost, and what ground RTT will its TCP flow see?"
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.internet.geo import COUNTRIES, GROUND_STATION, SERVER_SITES, Location
 from repro.internet.latency import LatencyModel
 from repro.internet.resolvers import Resolver, ResolverCatalog
-from repro.internet.servers import SelectionPolicy, ServiceDeployment
+from repro.internet.servers import ServiceDeployment
 from repro.net.inet import ip_to_int
 
 #: Each serving site owns a /16 so server addresses are recognizably

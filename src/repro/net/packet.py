@@ -8,7 +8,7 @@ estimation, and DPI over the (real, wire-format) payload bytes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.constants import IPV4_HEADER_LEN, TCP_HEADER_LEN, UDP_HEADER_LEN
 

@@ -8,7 +8,7 @@ Their timing is what the ground-station flow meter must recover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.protocols import http, tls

@@ -14,7 +14,6 @@ the day follows a continent-typical diurnal shape.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List
 

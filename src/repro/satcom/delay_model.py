@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.internet.geo import COUNTRIES, Location, local_hour
+from repro.internet.geo import COUNTRIES, local_hour
 from repro.satcom.beams import Beam, BeamMap, build_default_beam_map
 from repro.satcom.channel import ChannelModel
 from repro.satcom.geometry import SatelliteGeometry

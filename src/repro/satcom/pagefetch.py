@@ -12,7 +12,6 @@ Used by the PEP ablation benchmark and the ERRANT emulator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.constants import ETHERNET_MTU

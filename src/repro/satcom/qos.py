@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.satcom.shaper import TokenBucketShaper

@@ -9,7 +9,7 @@ ARQ retransmissions) without subclassing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.simnet.engine import Simulator

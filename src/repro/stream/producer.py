@@ -41,8 +41,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.analysis.dataset import FlowFrame
 from repro.analysis.source import CaptureError
 from repro.cache import stream_capture_key

@@ -31,6 +31,10 @@ construction, ``merge``, ``copy``, ``save``/``load`` and
 ``state_digest`` walk that table. Only the two counters and the three
 keyed banks, which grow with the capture (per-country customer sets,
 per-day volumes, per-customer Table 2 vectors), are handled by name.
+The banks marked ``ordered`` and ``vol_day`` sum floats over flows of
+many customers, so their bits depend on flow order: the fleet merge
+folds them again from windows (:meth:`StreamRollup.fold_ordered`)
+instead of merging them.
 
 ``update`` must see *whole* windows whose boundaries fall on day
 edges (the producer guarantees this): the customer-day sketches
@@ -329,7 +333,9 @@ class ArrayBank:
 
     ``axes`` are keys of ``StreamRollup._dims()`` or literal lengths.
     ``merge`` is the ufunc that folds another rollup's bank in place;
-    ``fill`` is its identity, the value of an empty bank.
+    ``fill`` is its identity, the value of an empty bank. ``ordered``
+    marks a float sum over flows of different customers, whose bits
+    depend on the flow order (:meth:`StreamRollup.fold_ordered`).
     """
 
     name: str
@@ -337,6 +343,7 @@ class ArrayBank:
     axes: Tuple[Union[str, int], ...]
     merge: np.ufunc = np.add
     fill: float = 0.0
+    ordered: bool = False
 
     def shape(self, dims: _Dims) -> Tuple[int, ...]:
         return tuple(dims[a] if isinstance(a, str) else a for a in self.axes)
@@ -360,11 +367,13 @@ _HIST_PARTS = ("counts", "under", "over")
 @dataclass(frozen=True, eq=False)
 class HistBank:
     """A :class:`HistFamily` with ``dims[rows]`` rows, saved as
-    ``{name}_counts``, ``{name}_under`` and ``{name}_over``."""
+    ``{name}_counts``, ``{name}_under`` and ``{name}_over``; ``ordered``
+    as for :class:`ArrayBank`."""
 
     name: str
     edges: np.ndarray
     rows: str
+    ordered: bool = False
 
     def empty(self, dims: _Dims) -> HistFamily:
         return HistFamily(self.edges, dims[self.rows])
@@ -408,19 +417,19 @@ class StreamRollup:
     QOE_LEVEL_EDGES = np.linspace(0.0, 8.0, 81)
 
     #: Every fixed-shape bank, declared once. Adding one takes an entry
-    #: here, its fold code in :meth:`update` and a ``ROLLUP_SCHEMA``
-    #: bump. A flattened row axis puts the group first
-    #: (row = group * n_countries + country), except ``country_hour``
-    #: (row = country * 24 + local hour).
+    #: here, its fold code in :meth:`update` (:meth:`fold_ordered` if
+    #: ``ordered``) and a ``ROLLUP_SCHEMA`` bump. A flattened row axis
+    #: puts the group first (row = group * n_countries + country),
+    #: except ``country_hour`` (row = country * 24 + local hour).
     BANKS: Tuple[Union[ArrayBank, HistBank], ...] = (
         # Figure 2: per-country counters
-        ArrayBank("bytes_up_c", np.float64, ("country",)),
-        ArrayBank("bytes_down_c", np.float64, ("country",)),
+        ArrayBank("bytes_up_c", np.float64, ("country",), ordered=True),
+        ArrayBank("bytes_down_c", np.float64, ("country",), ordered=True),
         ArrayBank("flows_c", np.int64, ("country",)),
         # Figure 3: (country, l7, hour) volume
-        ArrayBank("vol_clh", np.float64, ("country", "l7", 24)),
+        ArrayBank("vol_clh", np.float64, ("country", "l7", 24), ordered=True),
         # Figures 6/7-style: (country, service, hour) volume
-        ArrayBank("vol_csh", np.float64, ("country", "service", 24)),
+        ArrayBank("vol_csh", np.float64, ("country", "service", 24), ordered=True),
         # Figure 5: customer-day counters and histograms
         ArrayBank("cd_total_c", np.int64, ("country",)),
         ArrayBank("cd_idle_c", np.int64, ("country",)),
@@ -441,7 +450,7 @@ class StreamRollup:
         HistBank("h8_hour", SAT_EDGES, "country_hour"),
         # Figure 9: ground RTT, count- and volume-weighted
         HistBank("h9_cnt", GROUND_EDGES, "country"),
-        HistBank("h9_vol", GROUND_EDGES, "country"),
+        HistBank("h9_vol", GROUND_EDGES, "country", ordered=True),
         # Figure 10: DNS flows per (country, resolver) — exact shares —
         # plus per-resolver response-time histograms
         ArrayBank("dns_cr", np.int64, ("country", "resolver")),
@@ -452,14 +461,20 @@ class StreamRollup:
         HistBank("h11_peak", TPUT_EDGES, "country"),
         # Figure 12: video-session QoE per (plan, country). A session
         # lives inside one (customer, day), so it never straddles
-        # windows and folding windows in any order is exact.
+        # windows: each window folds its sessions whole.
         ArrayBank("qoe_sessions", np.int64, ("plan_country",)),
-        ArrayBank("qoe_rebuffer_sum", np.float64, ("plan_country",)),
-        ArrayBank("qoe_level_sum", np.float64, ("plan_country",)),
-        ArrayBank("qoe_switch_sum", np.float64, ("plan_country",)),
+        ArrayBank("qoe_rebuffer_sum", np.float64, ("plan_country",), ordered=True),
+        ArrayBank("qoe_level_sum", np.float64, ("plan_country",), ordered=True),
+        ArrayBank("qoe_switch_sum", np.float64, ("plan_country",), ordered=True),
         HistBank("h12_rebuf", QOE_REBUF_EDGES, "plan_country"),
         HistBank("h12_level", QOE_LEVEL_EDGES, "plan_country"),
     )
+    #: The columns :meth:`fold_ordered` reads, and the session columns
+    #: it reads too unless the capture has no video session.
+    ORDERED_COLUMNS = ("day", "hour_utc", "country_idx", "l7_idx", "service_true_idx",
+                       "bytes_up", "bytes_down", "ground_rtt_ms")
+    SESSION_COLUMNS = ("session_id", "plan_down_mbps", "qoe_rebuffer", "qoe_level",
+                       "qoe_switches")
 
     def __init__(
         self,
@@ -542,20 +557,9 @@ class StreamRollup:
             raise ValueError("rollup keys assume customer ids in [0, 1e6)")
         tables = self._pool_tables(frame.domains)
         nc = len(self.countries)
-        # Per-flow indices are intp: numpy gathers and counts through
-        # anything narrower by converting it first, on every call.
-        c = frame.country_idx.astype(np.intp)
-        hour = frame.hour_utc.astype(np.intp)
-        np.remainder(hour, 24, out=hour, where=(hour < 0) | (hour >= 24))
-        vol = frame.bytes_total()
+        c, vol, day = self.fold_ordered(frame)
         self.flows_total += len(frame)
-        self.bytes_up_c += np.bincount(c, weights=frame.bytes_up, minlength=nc)
-        self.bytes_down_c += np.bincount(c, weights=frame.bytes_down, minlength=nc)
         self.flows_c += np.bincount(c, minlength=nc)
-
-        nl, ns1 = len(L7_ORDER), len(self.services) + 1
-        self.vol_clh += _hourly(c, (nc, nl), frame.l7_idx, hour, vol)
-        self.vol_csh += _hourly(c, (nc, ns1), frame.service_true_idx + 1, hour, vol)
 
         # Dense cells: each customer's rank among the window's ids (a
         # presence table, ids < 1e6) and its (customer, day) cell.
@@ -571,20 +575,12 @@ class StreamRollup:
             raise ValueError("rollup keys assume one country per customer")
         for k in np.unique(cust_country).tolist():
             self._customers[k].update(ids[cust_country == k].tolist())
-        day0 = int(frame.day.min())
-        n_days = int(frame.day.max()) - day0 + 1
-        day = frame.day.astype(np.intp)
-        day -= day0
+        n_days = int(day.max()) + 1
         cell *= n_days
         cell += day
+        del day
         cell_flows = np.bincount(cell, minlength=len(ids) * n_days)
         cell_country = np.repeat(cust_country, n_days)
-
-        by_day = _hourly(day, (n_days, nc), c, hour, vol)
-        del day, hour
-        for d in np.flatnonzero(cell_flows.reshape(-1, n_days).any(axis=0)).tolist():
-            matrix = self.vol_day.setdefault(day0 + d, np.zeros((nc, 24)))
-            matrix += by_day[d]
 
         domain = frame.domain_idx.astype(np.intp)
         label, group = tables.label[domain], tables.t2_group[domain]
@@ -594,9 +590,62 @@ class StreamRollup:
         del label, cell_flows
         self._fold_dns(frame, group, c, cell, n_days, ids)
         del cell, group
-        self._fold_rtt(frame, tables.hour_offset, c, vol)
-        self._update_qoe(frame)
+        self._fold_rtt(frame, tables.hour_offset, c)
         return self
+
+    def fold_ordered(self, frame) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fold a non-empty window into the ``ordered`` banks and
+        ``vol_day``, and into the Figure 9 counts and Figure 12 bank,
+        which share their inputs; return the flows' intp country,
+        volume and day since the window's first.
+
+        The fleet merge passes a projected read: any object with
+        ``countries`` and :attr:`ORDERED_COLUMNS` as attributes, and
+        Figure 12 is skipped without ``session_id``.
+        """
+        # intp: numpy gathers and counts through anything narrower by
+        # converting it first, on every call.
+        c = frame.country_idx.astype(np.intp)
+        hour = frame.hour_utc.astype(np.intp)
+        np.remainder(hour, 24, out=hour, where=(hour < 0) | (hour >= 24))
+        day0 = int(frame.day.min())
+        day = frame.day.astype(np.intp)
+        day -= day0
+        vol = frame.bytes_up + frame.bytes_down
+        nc, nl, ns1 = len(self.countries), len(L7_ORDER), len(self.services) + 1
+        self.bytes_up_c += np.bincount(c, weights=frame.bytes_up, minlength=nc)
+        self.bytes_down_c += np.bincount(c, weights=frame.bytes_down, minlength=nc)
+        self.vol_clh += _hourly(c, (nc, nl), frame.l7_idx, hour, vol)
+        self.vol_csh += _hourly(c, (nc, ns1), frame.service_true_idx + 1, hour, vol)
+
+        n_days = int(day.max()) + 1
+        by_day = _hourly(day, (n_days, nc), c, hour, vol)
+        # the first and the last day have flows; only a day between may not
+        used = np.bincount(day, minlength=n_days) if n_days > 2 else np.ones(n_days)
+        for d in np.flatnonzero(used).tolist():
+            matrix = self.vol_day.setdefault(day0 + d, np.zeros((nc, 24)))
+            matrix += by_day[d]
+        del hour, by_day
+
+        # Figure 9: TCP handshake ground RTT, count- and volume-weighted
+        ground = frame.ground_rtt_ms
+        tcp = np.logical_or.reduce([frame.l7_idx == i for i in _TCP_IDX])
+        ok = np.flatnonzero(tcp & np.isfinite(ground))
+        rows, rtt_bins = c[ok], self.h9_cnt.bin(ground[ok])
+        n_bins = len(self.GROUND_EDGES) - 1
+        self.h9_cnt.add_table(_tally(rows, rtt_bins, nc, n_bins))
+        self.h9_vol.add_table(_tally(rows, rtt_bins, nc, n_bins, vol[ok]))
+        del tcp, ok, rows, rtt_bins
+        if hasattr(frame, "session_id"):
+            self._update_qoe(frame)
+        return c, vol, day
+
+    def take_ordered(self, other: "StreamRollup") -> None:
+        """Adopt ``other``'s ``ordered`` banks and ``vol_day``, uncopied."""
+        for bank in self.BANKS:
+            if bank.ordered:
+                setattr(self, bank.name, getattr(other, bank.name))
+        self.vol_day = other.vol_day
 
     def _pool_tables(self, domains: List[str]) -> "_PoolTables":
         """The fold's lookup tables, rebuilt only when the domain pool
@@ -638,10 +687,8 @@ class StreamRollup:
         self.h5_down.update(cell_country[active], down[active])
         self.h5_up.update(cell_country[active], up[active])
 
-    def _fold_rtt(
-        self, frame: FlowFrame, hour_offset: np.ndarray, c: np.ndarray, vol: np.ndarray
-    ) -> None:
-        """Figures 8, 9 and 11. Banks over the same values and edges
+    def _fold_rtt(self, frame: FlowFrame, hour_offset: np.ndarray, c: np.ndarray) -> None:
+        """Figures 8 and 11. Banks over the same values and edges
         share one binning, and the all, night, peak and per-hour banks
         are sums over one count table per (country, local hour, bin)."""
         nc = len(self.countries)
@@ -668,15 +715,6 @@ class StreamRollup:
         table[:, 0] += table[:, 24]
         self.h8_hour.add_table(table[:, :24].reshape(nc * 24, -1))
         del has, sat, sat_row, sat_bins, inp
-
-        ground = frame.ground_rtt_ms
-        tcp = np.logical_or.reduce([frame.l7_idx == i for i in _TCP_IDX])
-        ok = np.flatnonzero(tcp & np.isfinite(ground))
-        rows, rtt_bins = c[ok], self.h9_cnt.bin(ground[ok])
-        n_bins = len(self.GROUND_EDGES) - 1
-        self.h9_cnt.add_table(_tally(rows, rtt_bins, nc, n_bins))
-        self.h9_vol.add_table(_tally(rows, rtt_bins, nc, n_bins, vol[ok]))
-        del ok, rows, rtt_bins
 
         # Figure 11: bulk-download throughput (Mb/s), overall plus the
         # same night/peak local-hour periods as Figure 8a.

@@ -11,7 +11,7 @@ service-adoption matrix (Figure 6), per-category usage intensity
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
 

@@ -30,7 +30,7 @@ import numpy as np
 from repro.analysis.dataset import FlowFrame
 from repro.constants import SECONDS_PER_DAY
 from repro.internet.geo import COUNTRIES, SERVER_SITES, Location, utc_hour
-from repro.internet.resolvers import RESOLVERS, ResolverCatalog
+from repro.internet.resolvers import RESOLVERS
 from repro.internet.servers import SelectionPolicy, deployment
 from repro.internet.topology import InternetModel
 from repro.parallel import (
@@ -39,7 +39,6 @@ from repro.parallel import (
     default_shard_count,
     plan_shards,
     resolve_workers,
-    shard_seed,
 )
 from repro.satcom.beams import (
     BeamMap,
@@ -507,15 +506,6 @@ class WorkloadGenerator:
             return frames[0]
         return FlowFrame.concat(frames)
 
-    def generate_shard(self, shard: ShardSpec) -> Optional[FlowFrame]:
-        """Generate the flows of one customer shard.
-
-        Draws from the shard's own spawned RNG stream; ``None`` when
-        the shard's customers produce no flows at all (tiny configs).
-        """
-        rng = np.random.default_rng(shard_seed(self.config.seed, shard))
-        return self.generate_shard_days(shard, 0, self.config.days, rng)
-
     def generate_shard_days(
         self,
         shard: ShardSpec,
@@ -527,9 +517,9 @@ class WorkloadGenerator:
 
         The streaming producer (:mod:`repro.stream`) calls this once
         per (shard, window) with a window-specific RNG stream; the
-        one-shot :meth:`generate_shard` is the ``[0, days)`` special
-        case, so its draws are byte-identical to the pre-streaming
-        generator.
+        one-shot :meth:`generate` is the ``[0, days)`` special case on
+        each shard's own stream, so its draws are byte-identical to the
+        pre-streaming generator.
 
         Per country, in name order: the country's service flows, then
         its DNS flows, then its video sessions.

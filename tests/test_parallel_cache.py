@@ -18,6 +18,7 @@ from repro.parallel import (
     default_shard_count,
     plan_shards,
     resolve_workers,
+    shard_seed,
 )
 from repro.pipeline import generate_flow_dataset
 from repro.traffic.workload import WorkloadConfig, WorkloadGenerator
@@ -130,7 +131,13 @@ def test_shard_union_equals_whole():
     """Concatenating every shard's frame reproduces generate()."""
     generator = WorkloadGenerator(WorkloadConfig(**SMALL, n_shards=4))
     whole = generator.generate()
-    parts = [generator.generate_shard(s) for s in generator.shard_plan()]
+    parts = [
+        generator.generate_shard_days(
+            s, 0, generator.config.days,
+            np.random.default_rng(shard_seed(generator.config.seed, s)),
+        )
+        for s in generator.shard_plan()
+    ]
     merged = FlowFrame.concat([p for p in parts if p is not None])
     _assert_frames_identical(whole, merged)
 

@@ -292,6 +292,7 @@ CASES = {
     "one-day window": lambda f: [f.filter(f.day == 0)],
     "two-day window": lambda f: [f.filter(f.day >= 1)],
     "windows in sequence": lambda f: [f.filter(f.day == 0), f.filter(f.day >= 1)],
+    "a day without flows inside the window": lambda f: [f.filter(f.day != 1)],
     "every 7th customer, all days": lambda f: [f.filter(f.customer_id % 7 == 0)],
     "no DNS flows": lambda f: [f.filter(f.resolver_idx < 0)],
     "single customer": lambda f: [f.filter(f.customer_id == f.customer_id[len(f) // 2])],
