@@ -1,8 +1,8 @@
 """Benchmark: Figure 10 — resolver adoption and response time."""
 
-import numpy as np
 import pytest
 
+from repro.analysis import claims
 from repro.analysis.reports import fig10_dns
 
 
@@ -10,23 +10,4 @@ from repro.analysis.reports import fig10_dns
 def test_fig10_dns_resolvers(benchmark, frame, save_result):
     result = benchmark(fig10_dns.compute, frame)
     save_result("fig10_dns", fig10_dns.render(result))
-
-    # Median response times land on the paper's column (±25 %).
-    for resolver, paper in fig10_dns.PAPER_MEDIAN_MS.items():
-        measured = result.median_response_ms[resolver]
-        assert measured == pytest.approx(paper, rel=0.25), resolver
-
-    # Adoption structure: Google dominates Africa; the operator
-    # resolver is a European habit; the Nigerian resolver is local.
-    assert result.share("Google", "Congo") == pytest.approx(85.7, abs=12)
-    assert result.share("Operator-EU", "Ireland") > 25
-    assert result.share("Operator-EU", "Congo") < 8
-    assert result.share("Nigerian", "Nigeria") > 6
-    assert result.share("Nigerian", "UK") < 3
-    # Chinese resolvers appear in Africa.
-    assert result.share("114DNS", "Congo") > result.share("114DNS", "Spain")
-
-    # The operator resolver is the fastest; Baidu the slowest.
-    medians = result.median_response_ms
-    assert min(medians, key=medians.get) == "Operator-EU"
-    assert max(medians, key=medians.get) == "Baidu"
+    claims.check("fig10", result)

@@ -1,8 +1,8 @@
 """Benchmark: Figure 11 — download throughput per customer."""
 
-import numpy as np
 import pytest
 
+from repro.analysis import claims
 from repro.analysis.reports import fig11_throughput
 
 
@@ -10,22 +10,4 @@ from repro.analysis.reports import fig11_throughput
 def test_fig11_throughput(benchmark, frame, save_result):
     result = benchmark(fig11_throughput.compute, frame)
     save_result("fig11_throughput", fig11_throughput.render(result))
-
-    # Europe clearly faster than Africa over bulk flows.
-    europe = np.mean([result.median_mbps(c) for c in ("Spain", "UK", "Ireland")])
-    africa = np.mean([result.median_mbps(c) for c in ("Congo", "Nigeria", "South Africa")])
-    assert europe > 1.8 * africa
-
-    # European plans (30/50/100) produce a CCDF tail above 25 Mb/s;
-    # African plans (10/30) barely reach it.
-    assert result.fraction_above("Spain", 25.0) > 0.15
-    assert result.fraction_above("Congo", 25.0) < 0.05
-
-    # Knees live near plan rates: some European flows saturate ~100 Mb/s
-    # plans, none exceed them.
-    assert result.fraction_above("UK", 80.0) > 0.01
-    assert result.fraction_above("UK", 105.0) == 0.0
-
-    # Night vs peak: throughput drops at peak, most visibly in Congo.
-    assert result.peak_degradation("Congo") > 0.05
-    assert result.night_boxes["Congo"].median > result.peak_boxes["Congo"].median
+    claims.check("fig11", result)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import claims
 from repro.analysis.reports import fig4_diurnal
 
 
@@ -9,15 +10,4 @@ from repro.analysis.reports import fig4_diurnal
 def test_fig4_diurnal_patterns(benchmark, frame, save_result):
     result = benchmark(fig4_diurnal.compute, frame)
     save_result("fig4_diurnal", fig4_diurnal.render(result))
-
-    # Europe: evening prime time 18:00–20:00 UTC.
-    for country in ("Spain", "UK"):
-        assert 16 <= result.peak_hour_utc(country) <= 21, country
-    # Congo's absolute peak lands in the morning, ~9:00 UTC.
-    assert 7 <= result.peak_hour_utc("Congo") <= 12
-    # African morning usage ≥ ~85 % of peak; Europe sags to ~50 %.
-    assert result.morning_level("Congo") > 0.75
-    assert result.morning_level("Nigeria") > 0.75
-    assert result.morning_level("UK") < 0.6
-    # Night floor: Africa ~40 %, Europe ~20 % (of peak).
-    assert result.night_floor("Congo") > result.night_floor("Spain")
+    claims.check("fig4", result)

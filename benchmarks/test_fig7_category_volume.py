@@ -2,33 +2,12 @@
 
 import pytest
 
+from repro.analysis import claims
 from repro.analysis.reports import fig7_service_volume
-from repro.traffic.services import ServiceCategory
 
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_category_volumes(benchmark, frame, save_result):
     result = benchmark(fig7_service_volume.compute, frame)
     save_result("fig7_service_volume", fig7_service_volume.render(result))
-
-    chat_congo = result.median_mb(ServiceCategory.CHAT, "Congo")
-    chat_spain = result.median_mb(ServiceCategory.CHAT, "Spain")
-    social_congo = result.median_mb(ServiceCategory.SOCIAL, "Congo")
-
-    # Paper: Congo chat median ≈250 MB vs <10 MB in Europe.
-    assert chat_congo == pytest.approx(250.0, rel=0.5)
-    assert chat_spain < 30.0
-    assert chat_congo > 8 * chat_spain
-    # Social: ≈300 MB in Congo vs ≈30 MB in Europe.
-    assert social_congo == pytest.approx(300.0, rel=0.6)
-    # Community APs: top-5 % chat days above ~2 GB.
-    assert result.p95_mb(ServiceCategory.CHAT, "Congo") > 1000.0
-    # Video differences are smaller than chat differences.
-    video_ratio = result.median_mb(ServiceCategory.VIDEO, "Congo") / result.median_mb(
-        ServiceCategory.VIDEO, "Spain"
-    )
-    chat_ratio = chat_congo / chat_spain
-    assert video_ratio < chat_ratio / 3
-    # Audio is small everywhere.
-    for country in ("Congo", "Spain"):
-        assert result.median_mb(ServiceCategory.AUDIO, country) < 60.0
+    claims.check("fig7", result)

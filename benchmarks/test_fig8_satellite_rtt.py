@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import claims
 from repro.analysis.reports import fig8_satellite_rtt
 
 
@@ -10,31 +11,4 @@ def test_fig8_satellite_rtt(benchmark, frame, save_result):
     result_a = benchmark(fig8_satellite_rtt.compute_fig8a, frame)
     result_b = fig8_satellite_rtt.compute_fig8b(frame)
     save_result("fig8_satellite_rtt", fig8_satellite_rtt.render(result_a, result_b))
-
-    # The 550 ms headline: no sample below the physical floor.
-    for country in result_a.samples:
-        assert result_a.minimum_ms(country) > 520.0, country
-
-    # Spain at night: ~82 % of samples under 1 s (best of the six).
-    spain_night = result_a.fraction_under("Spain", "night", 1000.0)
-    assert spain_night == pytest.approx(0.82, abs=0.09)
-    for other in ("Congo", "Ireland", "UK", "South Africa"):
-        assert result_a.fraction_under(other, "night", 1000.0) <= spain_night + 0.03
-
-    # Congo: heavy tail already off-peak (paper ~20 % above 2 s), worse
-    # at peak.
-    assert result_a.fraction_over("Congo", "night", 2000.0) > 0.08
-    assert result_a.fraction_over("Congo", "peak", 2000.0) > result_a.fraction_over(
-        "Congo", "night", 2000.0
-    )
-
-    # Ireland: variability is load-independent (channel impairments).
-    night_tail = result_a.fraction_over("Ireland", "night", 1500.0)
-    peak_tail = result_a.fraction_over("Ireland", "peak", 1500.0)
-    assert abs(night_tail - peak_tail) < 0.08
-
-    # Figure 8b: Congo's beams sit high regardless of utilization;
-    # Spain's beams sit low.
-    congo = [m for _, c, m, _ in result_b.rows if c == "Congo"]
-    spain = [m for _, c, m, _ in result_b.rows if c == "Spain"]
-    assert min(congo) > max(spain)
+    claims.check("fig8", (result_a, result_b))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import claims
 from repro.analysis.reports import table1_protocols
 from repro.analysis.source import FrameSource
 
@@ -13,16 +14,4 @@ def test_table1_protocol_breakdown(benchmark, frame, save_result):
         lambda: table1_protocols.from_rollup(FrameSource(frame).to_rollup())
     )
     save_result("table1_protocols", table1_protocols.render(result))
-
-    # Shape assertions: ordering and magnitudes of Table 1.
-    assert result.share("tcp/https") == pytest.approx(56.0, abs=8.0)
-    assert result.share("udp/quic") == pytest.approx(19.6, abs=6.0)
-    assert result.share("tcp/http") == pytest.approx(12.1, abs=6.0)
-    assert result.share("tcp/other") == pytest.approx(7.0, abs=5.0)
-    assert result.share("udp/dns") < 0.1
-    assert (
-        result.share("tcp/https")
-        > result.share("udp/quic")
-        > result.share("tcp/http")
-        > result.share("udp/rtp")
-    )
+    claims.check("table1", result)

@@ -187,10 +187,6 @@ class FlowFrame:
         rate[~np.isfinite(rate)] = np.nan
         return rate
 
-    def domain_strings(self) -> List[Optional[str]]:
-        """Domain per row (None where unknown)."""
-        return [self.domains[i] if i >= 0 else None for i in self.domain_idx]
-
     # -- grouping helpers --------------------------------------------------
 
     def groupby_country(self) -> Dict[str, np.ndarray]:

@@ -8,7 +8,7 @@ per subscription because connections are shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.analysis.aggregate import format_table
@@ -22,9 +22,11 @@ PAPER_SHARES: Dict[str, Tuple[float, float]] = {
 
 @dataclass
 class Fig2Result:
-    """Per-country (volume %, customer %), sorted by volume."""
+    """Per-country (volume %, customer %), sorted by volume, and each
+    country's mean download (MB) per customer and capture day."""
 
     rows: List[Tuple[str, float, float]]
+    daily_download_mb: Dict[str, float] = field(default_factory=dict)
 
     def shares(self, country: str) -> Tuple[float, float]:
         for name, vol, cust in self.rows:
@@ -55,7 +57,13 @@ def from_rollup(rollup) -> Fig2Result:
         if rollup.flows_c[i] > 0
     ]
     rows.sort(key=lambda row: -row[1])
-    return Fig2Result(rows=rows)
+    days = rollup.n_days()
+    daily = {
+        country: float(rollup.bytes_down_c[i] / customers[i] / days / 1e6)
+        for i, country in enumerate(rollup.countries)
+        if rollup.flows_c[i] > 0
+    }
+    return Fig2Result(rows=rows, daily_download_mb=daily)
 
 
 def render(result: Fig2Result, top: int = 12) -> str:

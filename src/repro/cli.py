@@ -56,8 +56,6 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.analysis.validation import build_scorecard
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenario import Scenario
 
@@ -792,6 +790,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_scorecard(args: argparse.Namespace) -> int:
     from repro.analysis.source import CaptureError
+    from repro.analysis.validation import build_scorecard
 
     source = _source_from_args(args)
     if source is None:

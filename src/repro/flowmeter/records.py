@@ -25,14 +25,6 @@ class L7Protocol(enum.Enum):
     DNS = "udp/dns"
     OTHER_UDP = "udp/other"
 
-    @property
-    def is_tcp(self) -> bool:
-        return self.value.startswith("tcp/")
-
-    @property
-    def is_udp(self) -> bool:
-        return self.value.startswith("udp/")
-
 
 #: Stable ordering of protocol labels for columnar encoding.
 L7_ORDER = [

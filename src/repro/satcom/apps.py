@@ -216,11 +216,6 @@ class TlsClientApp:
         self.result.handshake_done_at = self.sim.now
 
     @property
-    def tls13_mode(self) -> bool:
-        """Whether this client ran the TLS 1.3 flow."""
-        return self.tls13
-
-    @property
     def key_exchange_compute_s(self) -> Optional[float]:
         """Client-side time between receiving the ServerHello flight and
         sending the ClientKeyExchange — the only non-satellite component

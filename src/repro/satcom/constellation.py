@@ -200,8 +200,3 @@ class ConstellationModel:
     def max_rtt_s(self) -> float:
         """Worst case across shells (mask-grazing pass, highest shell)."""
         return max(shell.max_rtt_s() for shell in self.shells)
-
-    def mean_rtt_s(self, lat_deg: float = 40.0, n_epochs: int = 256) -> float:
-        """Long-run mean floor at a latitude (epoch-averaged)."""
-        t = np.arange(n_epochs, dtype=np.float64) * self.reconfiguration_s
-        return float(self.rtt_floor_s(lat_deg, t).mean())

@@ -73,7 +73,14 @@ def table1_oracle(frame):
 
 
 def fig2_oracle(frame):
-    return fig2_country.Fig2Result(rows=country_breakdown(frame))
+    days = len(np.unique(frame.day))
+    daily = {
+        country: float(
+            frame.bytes_down[mask].sum() / len(np.unique(frame.customer_id[mask])) / days / 1e6
+        )
+        for country, mask in frame.groupby_country().items()
+    }
+    return fig2_country.Fig2Result(rows=country_breakdown(frame), daily_download_mb=daily)
 
 
 def fig3_oracle(frame, top: int = 10):
