@@ -4,16 +4,27 @@ not knife-edge calibrations.
 We perturb the two most influential fitted parameters — the PEP
 setup-delay scale (drives Congo's tail) and the channel decay constant
 (drives Ireland's tail) — by ±40 % and check that Figure 8a's
-qualitative claims survive every corner.
+qualitative claims survive every corner. Every draw goes through
+``sample_handshake_rtt_bulk``, the sampler the capture runs.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.aggregate import format_table
-from repro.internet.geo import COUNTRIES
+from repro.internet.geo import COUNTRIES, local_hour
 from repro.satcom.delay_model import SatelliteRttModel
 from repro.scenario import get_scenario
+
+
+def _loads(model: SatelliteRttModel, beam, hour_utc: float, n: int):
+    """Per-flow ``(utilization, pep_utilization)`` for ``n`` flows on
+    ``beam`` at one UTC hour."""
+    hour_loc = local_hour(COUNTRIES[beam.country], hour_utc)
+    return (
+        np.full(n, model.beam_map.utilization(beam, hour_loc)),
+        np.full(n, model.beam_map.pep_utilization(beam, hour_loc)),
+    )
 
 
 def _fig8_stats(model: SatelliteRttModel, rng) -> dict:
@@ -22,7 +33,12 @@ def _fig8_stats(model: SatelliteRttModel, rng) -> dict:
         hour_utc = (hour_local - COUNTRIES[country].lon_deg / 15.0) % 24
         beams = model.beam_map.beams_for(country)
         samples = np.concatenate(
-            [model.sample_handshake_rtt_s(country, hour_utc, rng, 1500, beam=b) for b in beams]
+            [
+                model.sample_handshake_rtt_bulk(
+                    country, *_loads(model, b, hour_utc, 1500), rng
+                )
+                for b in beams
+            ]
         )
         out[country] = {
             "under_1s": float((samples < 1.0).mean()),

@@ -223,11 +223,6 @@ class ServiceClassifier:
         rule = self.classify(domain)
         return rule.service if rule else None
 
-    def category_of(self, domain: Optional[str]) -> Optional[ServiceCategory]:
-        """Category for ``domain``, or None."""
-        rule = self.classify(domain)
-        return rule.category if rule else None
-
     def classify_pool(
         self, domains: Sequence[str]
     ) -> Tuple[np.ndarray, List[str]]:

@@ -10,12 +10,10 @@ group in milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.constants import SECONDS_PER_DAY
-from repro.flowmeter.records import FlowRecord, L7Protocol, L7_ORDER
 
 _POOL_FIELDS = (
     "countries",
@@ -166,15 +164,7 @@ class FlowFrame:
         """Boolean mask of flows from ``country``."""
         return self.country_idx == self.countries.index(country)
 
-    def l7_mask(self, protocol: L7Protocol) -> np.ndarray:
-        """Boolean mask of flows with protocol label ``protocol``."""
-        return self.l7_idx == L7_ORDER.index(protocol)
-
     # -- derived columns -------------------------------------------------
-
-    def l7_labels(self) -> List[L7Protocol]:
-        """Protocol label per row (use sparingly — builds a list)."""
-        return [L7_ORDER[i] for i in self.l7_idx]
 
     def bytes_total(self) -> np.ndarray:
         return self.bytes_up + self.bytes_down
@@ -188,15 +178,6 @@ class FlowFrame:
         return rate
 
     # -- grouping helpers --------------------------------------------------
-
-    def groupby_country(self) -> Dict[str, np.ndarray]:
-        """country name → boolean mask (absent countries omitted)."""
-        groups: Dict[str, np.ndarray] = {}
-        for idx, name in enumerate(self.countries):
-            mask = self.country_idx == idx
-            if mask.any():
-                groups[name] = mask
-        return groups
 
     def customer_day_totals(
         self, value: np.ndarray, mask: Optional[np.ndarray] = None
@@ -219,12 +200,6 @@ class FlowFrame:
         return {
             (int(key // 100_000), int(key % 100_000)): float(total)
             for key, total in zip(unique, sums)
-        }
-
-    def split_by_day(self) -> Dict[int, "FlowFrame"]:
-        """One frame per capture day (the operator ships daily logs)."""
-        return {
-            int(day): self.filter(self.day == day) for day in np.unique(self.day)
         }
 
     # -- persistence ---------------------------------------------------------
@@ -390,82 +365,3 @@ class FlowFrame:
             resolvers=list(first.resolvers),
             **kwargs,
         )
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Iterable[FlowRecord],
-        country_of_client: Optional[Callable[[int], str]] = None,
-    ) -> "FlowFrame":
-        """Build a frame from packet-path :class:`FlowRecord` rows.
-
-        Fields the packet path does not know (service ground truth,
-        beam, plan) are left at their "unknown" sentinels.
-        """
-        records = list(records)
-        countries: List[str] = []
-        domains: List[str] = []
-        domain_pool: Dict[str, int] = {}
-        country_pool: Dict[str, int] = {}
-
-        def intern_domain(name: Optional[str]) -> int:
-            if not name:
-                return -1
-            if name not in domain_pool:
-                domain_pool[name] = len(domains)
-                domains.append(name)
-            return domain_pool[name]
-
-        def intern_country(client_ip: int) -> int:
-            if country_of_client is None:
-                return -1
-            name = country_of_client(client_ip)
-            if name not in country_pool:
-                country_pool[name] = len(countries)
-                countries.append(name)
-            return country_pool[name]
-
-        n = len(records)
-        frame = cls(
-            countries=countries,
-            beams=[],
-            services=[],
-            domains=domains,
-            sites=[],
-            resolvers=[],
-            ts_start=np.array([r.ts_start for r in records], dtype=np.float64),
-            day=np.array([int(r.ts_start // SECONDS_PER_DAY) for r in records], dtype=np.int32),
-            hour_utc=np.array(
-                [(r.ts_start % SECONDS_PER_DAY) / 3600.0 for r in records], dtype=np.float32
-            ),
-            customer_id=np.array([r.client_ip & 0xFFFFFF for r in records], dtype=np.int32),
-            country_idx=np.array([intern_country(r.client_ip) for r in records], dtype=np.int16),
-            subscriber_type=np.full(n, -1, dtype=np.int8),
-            beam_idx=np.full(n, -1, dtype=np.int16),
-            l7_idx=np.array([L7_ORDER.index(r.l7) for r in records], dtype=np.int8),
-            service_true_idx=np.full(n, -1, dtype=np.int16),
-            domain_idx=np.array([intern_domain(r.domain) for r in records], dtype=np.int32),
-            bytes_up=np.array([r.bytes_up for r in records], dtype=np.float64),
-            bytes_down=np.array([r.bytes_down for r in records], dtype=np.float64),
-            duration_s=np.array([r.duration_s for r in records], dtype=np.float32),
-            sat_rtt_ms=np.array(
-                [np.nan if r.sat_rtt_ms is None else r.sat_rtt_ms for r in records],
-                dtype=np.float32,
-            ),
-            ground_rtt_ms=np.array(
-                [np.nan if r.rtt_avg_ms is None else r.rtt_avg_ms for r in records],
-                dtype=np.float32,
-            ),
-            resolver_idx=np.full(n, -1, dtype=np.int16),
-            dns_response_ms=np.array(
-                [np.nan if r.dns_response_ms is None else r.dns_response_ms for r in records],
-                dtype=np.float32,
-            ),
-            site_idx=np.full(n, -1, dtype=np.int16),
-            plan_down_mbps=np.full(n, np.nan, dtype=np.float32),
-            session_id=np.full(n, -1, dtype=np.int64),
-            qoe_rebuffer=np.full(n, np.nan, dtype=np.float32),
-            qoe_level=np.full(n, np.nan, dtype=np.float32),
-            qoe_switches=np.full(n, -1, dtype=np.int16),
-        )
-        return frame

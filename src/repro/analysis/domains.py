@@ -76,16 +76,3 @@ def second_level_domain(domain: Optional[str]) -> Optional[str]:
     if ".".join(labels[-3:]) in TWO_LABEL_SUFFIXES:
         return domain
     return ".".join(labels[-2:])
-
-
-def is_subdomain_of(domain: str, parent: str) -> bool:
-    """True when ``domain`` equals or is a subdomain of ``parent``.
-
-    >>> is_subdomain_of("a.b.example.com", "example.com")
-    True
-    >>> is_subdomain_of("notexample.com", "example.com")
-    False
-    """
-    domain = domain.strip(".").lower()
-    parent = parent.strip(".").lower()
-    return domain == parent or domain.endswith("." + parent)

@@ -10,7 +10,7 @@ South Africa 5 %, Europe 3–4 %.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.analysis.aggregate import (
     format_table,
 )
 from repro.analysis.dataset import FlowFrame
-from repro.analysis.stats import ccdf, ccdf_at
+from repro.analysis.stats import ccdf_at
 from repro.constants import ACTIVE_CUSTOMER_FLOW_THRESHOLD, BYTES_PER_GB
 from repro.traffic.profiles import TOP_COUNTRIES
 
@@ -53,9 +53,6 @@ class Fig5Result:
 
     def heavy_uploader_pct(self, country: str, threshold_gb: float = 1.0) -> float:
         return ccdf_at(self.upload_bytes[country], threshold_gb * BYTES_PER_GB) * 100.0
-
-    def flow_ccdf(self, country: str) -> Tuple[np.ndarray, np.ndarray]:
-        return ccdf(self.flow_counts[country])
 
     def median_flows(self, country: str) -> float:
         return float(np.median(self.flow_counts[country]))

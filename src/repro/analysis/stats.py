@@ -8,7 +8,7 @@ percentiles).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -75,27 +75,3 @@ def boxplot_stats(values: np.ndarray) -> BoxplotStats:
         return BoxplotStats(*([float("nan")] * 5), n=0)
     p5, q1, median, q3, p95 = np.quantile(values, [0.05, 0.25, 0.5, 0.75, 0.95])
     return BoxplotStats(float(p5), float(q1), float(median), float(q3), float(p95), len(values))
-
-
-def share_by_group(keys: np.ndarray, weights: np.ndarray) -> Dict[int, float]:
-    """Fraction of total ``weights`` per integer key."""
-    keys = np.asarray(keys)
-    weights = np.asarray(weights, dtype=np.float64)
-    total = weights.sum()
-    if total <= 0:
-        return {}
-    out: Dict[int, float] = {}
-    for key in np.unique(keys):
-        out[int(key)] = float(weights[keys == key].sum() / total)
-    return out
-
-
-def median_by_group(keys: np.ndarray, values: np.ndarray) -> Dict[int, float]:
-    """Median of ``values`` per integer key (finite values only)."""
-    keys = np.asarray(keys)
-    out: Dict[int, float] = {}
-    for key in np.unique(keys):
-        group = _clean(values[keys == key])
-        if len(group):
-            out[int(key)] = float(np.median(group))
-    return out

@@ -128,7 +128,7 @@ def _scenario_parent() -> argparse.ArgumentParser:
 
 
 def _workload_parent() -> argparse.ArgumentParser:
-    """Shared workload flags of ``generate`` and ``stream``.
+    """Shared workload flags of the commands that generate a capture.
 
     Defaults are ``None`` so the scenario's values apply unless the
     flag is given explicitly — explicit flags beat ``--set``.
@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser(
         "report",
         help="regenerate tables/figures",
-        parents=[scenario_parent],
+        parents=[scenario_parent, workload_parent],
     )
     rep.add_argument(
         "--dataset",
@@ -391,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     score = sub.add_parser(
         "scorecard",
         help="calibration scorecard",
-        parents=[scenario_parent],
+        parents=[scenario_parent, workload_parent],
     )
     score.add_argument(
         "--dataset",

@@ -97,13 +97,6 @@ class TcpRttEstimator:
         from the ground-station vantage point)."""
         return self.samples[Direction.CLIENT_TO_SERVER]
 
-    def all_samples(self) -> List[float]:
-        """Samples from both directions."""
-        return (
-            self.samples[Direction.CLIENT_TO_SERVER]
-            + self.samples[Direction.SERVER_TO_CLIENT]
-        )
-
 
 class TlsHandshakeRttEstimator:
     """Satellite RTT from ServerHello → ClientKeyExchange timing."""

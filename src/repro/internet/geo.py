@@ -124,13 +124,3 @@ def geodesic_km(a: Location, b: Location) -> float:
     dlon = lon2 - lon1
     h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
     return 2 * (EARTH_RADIUS_M / 1000.0) * math.asin(min(1.0, math.sqrt(h)))
-
-
-def european_countries() -> Dict[str, Location]:
-    """Subscriber countries on the European continent."""
-    return {name: loc for name, loc in COUNTRIES.items() if loc.continent == "Europe"}
-
-
-def african_countries() -> Dict[str, Location]:
-    """Subscriber countries on the African continent."""
-    return {name: loc for name, loc in COUNTRIES.items() if loc.continent == "Africa"}

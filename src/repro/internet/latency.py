@@ -104,7 +104,3 @@ class LatencyModel:
         base = self.base_rtt_ms(a, b)
         jitter = rng.lognormal(mean=0.0, sigma=self.jitter_sigma, size=n)
         return base * jitter
-
-    def one_way_ms(self, a: Location, b: Location) -> float:
-        """Half the base RTT — used by the packet-level simulator links."""
-        return self.base_rtt_ms(a, b) / 2.0

@@ -194,12 +194,8 @@ class ResolverCatalog:
         catalog._forced_name = resolver_name
         return catalog
 
-    def mix_override(self) -> Optional[str]:
-        """Name of the forced resolver, if any."""
-        return getattr(self, "_forced_name", None)
-
     def by_address(self, address: int) -> Optional[Resolver]:
-        """Reverse lookup used by the analysis to label DNS flows."""
+        """The resolver listening on ``address``, or None."""
         for resolver in self.resolvers.values():
             if resolver.address == address:
                 return resolver

@@ -108,12 +108,6 @@ class InternetModel:
             resolver=resolver,
         )
 
-    def sample_ground_rtt_ms(
-        self, site: Location, rng: np.random.Generator, n: int = 1
-    ) -> np.ndarray:
-        """Ground-segment RTT samples from the ground station to ``site``."""
-        return self.latency.sample_rtt_ms(self.ground_station, site, rng, n)
-
     def base_ground_rtt_ms(self, site: Location) -> float:
         """Median ground RTT to ``site`` (no jitter)."""
         return self.latency.base_rtt_ms(self.ground_station, site)

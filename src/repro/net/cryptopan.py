@@ -61,10 +61,3 @@ class PrefixPreservingAnonymizer:
         from repro.net.inet import ip_from_int, ip_to_int
 
         return ip_from_int(self.anonymize_int(ip_to_int(address)))
-
-    def shared_prefix_len(self, a: int, b: int) -> int:
-        """Length of the common prefix of two 32-bit addresses."""
-        diff = a ^ b
-        if diff == 0:
-            return 32
-        return 32 - diff.bit_length()

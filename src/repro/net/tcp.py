@@ -131,14 +131,6 @@ class TcpEndpoint:
     def bytes_in_flight(self) -> int:
         return self._snd_nxt - self._snd_una
 
-    @property
-    def is_established(self) -> bool:
-        return self.state == TcpState.ESTABLISHED
-
-    @property
-    def is_closed(self) -> bool:
-        return self.state == TcpState.CLOSED
-
     # -- packet handling ------------------------------------------------
 
     def handle_packet(self, packet: Packet) -> None:

@@ -88,12 +88,6 @@ def parse_request(data: bytes) -> Optional[Request]:
     )
 
 
-def extract_host(data: bytes) -> Optional[str]:
-    """The Host header of a request byte stream, if parseable."""
-    request = parse_request(data)
-    return request.host if request else None
-
-
 def looks_like_http(data: bytes) -> bool:
     """Cheap method-prefix check used by the DPI."""
     return data[:8].split(b" ")[0] in (

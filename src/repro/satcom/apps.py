@@ -215,16 +215,6 @@ class TlsClientApp:
         self._sent_request = True
         self.result.handshake_done_at = self.sim.now
 
-    @property
-    def key_exchange_compute_s(self) -> Optional[float]:
-        """Client-side time between receiving the ServerHello flight and
-        sending the ClientKeyExchange — the only non-satellite component
-        inside the probe's satellite-RTT estimate (beyond the negligible
-        home RTT)."""
-        if self.result.got_server_hello_at is None or self.result.sent_key_exchange_at is None:
-            return None
-        return self.result.sent_key_exchange_at - self.result.got_server_hello_at
-
 
 class HttpClientApp:
     """Plain-HTTP client: one GET, read Content-Length, count the body.

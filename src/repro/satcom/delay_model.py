@@ -8,28 +8,28 @@ the TLS-handshake method (Section 2.2 / Figure 8): the time between the
 satellite segment in each direction plus everything the SatCom stack
 adds.
 
-The same object serves the flow-level workload generator (vectorized
-sampling for hundreds of thousands of flows) and the calibration tests
-that check the paper's headline numbers (>550 ms floor everywhere,
-Spain 82 % < 1 s at night, Congo ~20 % > 2 s, Ireland load-independent
-heavy tail).
+One vectorized sampler serves the flow-level workload generator
+(hundreds of thousands of flows per call, through ``DelaySource``) and
+the calibration tests that check the paper's headline numbers on that
+same sampler (>550 ms floor everywhere, Spain 82 % < 1 s at night,
+Congo ~20 % > 2 s, Ireland load-independent heavy tail).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.internet.geo import COUNTRIES, local_hour
-from repro.satcom.beams import Beam, BeamMap, build_default_beam_map
+from repro.internet.geo import COUNTRIES
+from repro.satcom.beams import BeamMap, build_default_beam_map
 from repro.satcom.channel import ChannelModel
 from repro.satcom.geometry import SatelliteGeometry
 from repro.satcom.mac import SlottedAlohaModel, TdmaModel
 from repro.satcom.pep import PepCapacityModel
 
-__all__ = ["SatelliteRttModel", "local_hour"]
+__all__ = ["SatelliteRttModel"]
 
 
 @dataclass
@@ -82,70 +82,6 @@ class SatelliteRttModel:
         """Propagation + fixed processing floor for a country."""
         location = COUNTRIES[country_name]
         return self.geometry.propagation_rtt_s(location) + self.base_processing_s
-
-    def sample_handshake_rtt_s(
-        self,
-        country_name: str,
-        hour_utc: float,
-        rng: np.random.Generator,
-        n: int = 1,
-        beam: Optional[Beam] = None,
-    ) -> np.ndarray:
-        """Satellite RTT as measured by the TLS-handshake method.
-
-        Includes the connection-setup PEP penalty and first-burst Aloha
-        contention — this is precisely the phase the paper's estimator
-        observes once per flow.
-        """
-        location = COUNTRIES[country_name]
-        if beam is None:
-            beam = self.beam_map.beams_for(country_name)[0]
-        hour_loc = local_hour(location, hour_utc)
-        utilization = self.beam_map.utilization(beam, hour_loc)
-        pep_load = self.beam_map.pep_utilization(beam, hour_loc)
-        elevation = self.geometry.elevation_angle_deg(location)
-
-        floor = self.floor_rtt_s(country_name)
-        terminal = self.terminal_median_s * rng.lognormal(0.0, self.terminal_sigma, size=n)
-        jitter = self.stack_jitter_median_s * rng.lognormal(0.0, self.stack_jitter_sigma, size=n)
-        scheduling = self.tdma.sample_scheduling_delay_s(utilization, rng, n)
-        idle_start = rng.random(n) < self.contention_fraction
-        contention = np.where(
-            idle_start,
-            self.aloha.sample_access_delay_s(0.35 * utilization, rng, n),
-            0.0,
-        )
-        arq = self.channel.sample_arq_delay_s(elevation, rng, n, frames_per_exchange=6)
-        pep_setup = self.pep.sample_setup_delay_s(pep_load, rng, n)
-        downlink_queue = rng.exponential(
-            0.010 * min(utilization / (1.0 - utilization), 20.0) + 1e-6, size=n
-        )
-        return floor + terminal + jitter + scheduling + contention + arq + pep_setup + downlink_queue
-
-    def sample_data_rtt_s(
-        self,
-        country_name: str,
-        hour_utc: float,
-        rng: np.random.Generator,
-        n: int = 1,
-        beam: Optional[Beam] = None,
-    ) -> np.ndarray:
-        """Satellite RTT for established flows (no setup penalties)."""
-        location = COUNTRIES[country_name]
-        if beam is None:
-            beam = self.beam_map.beams_for(country_name)[0]
-        hour_loc = local_hour(location, hour_utc)
-        utilization = self.beam_map.utilization(beam, hour_loc)
-        pep_load = self.beam_map.pep_utilization(beam, hour_loc)
-        elevation = self.geometry.elevation_angle_deg(location)
-
-        floor = self.floor_rtt_s(country_name)
-        terminal = 0.25 * self.terminal_median_s * rng.lognormal(0.0, self.terminal_sigma, size=n)
-        jitter = 0.5 * self.stack_jitter_median_s * rng.lognormal(0.0, self.stack_jitter_sigma, size=n)
-        scheduling = self.tdma.sample_scheduling_delay_s(utilization, rng, n)
-        arq = self.channel.sample_arq_delay_s(elevation, rng, n, frames_per_exchange=3)
-        pep_forward = self.pep.sample_forward_delay_s(pep_load, rng, n)
-        return floor + terminal + jitter + scheduling + arq + pep_forward
 
     def sample_handshake_rtt_bulk(
         self,
@@ -208,14 +144,3 @@ class SatelliteRttModel:
         return (
             floor + terminal + jitter + scheduling + contention + arq + pep_setup + downlink_queue
         )
-
-    def median_beam_rtt_s(
-        self,
-        beam: Beam,
-        hour_utc: float,
-        rng: np.random.Generator,
-        samples: int = 400,
-    ) -> float:
-        """Median handshake RTT on one beam (Figure 8b's y-axis)."""
-        values = self.sample_handshake_rtt_s(beam.country, hour_utc, rng, samples, beam=beam)
-        return float(np.median(values))

@@ -97,13 +97,3 @@ class LeoGeometryAdapter:
 
     def elevation_angle_deg(self, location) -> float:
         return self.typical_elevation_deg
-
-
-def geo_vs_leo_floor_ratio() -> float:
-    """How many times higher the GEO propagation floor sits (~50–70×)."""
-    from repro.satcom.geometry import SatelliteGeometry
-    from repro.internet.geo import COUNTRIES
-
-    geo = SatelliteGeometry().propagation_rtt_s(COUNTRIES["Spain"])
-    leo = LeoShell().min_rtt_s()
-    return geo / leo

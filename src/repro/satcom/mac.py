@@ -35,32 +35,15 @@ _RESERVATION_RTT_S = 0.52
 
 @dataclass
 class SlottedAlohaModel:
-    """First-access contention on the shared reservation channel."""
+    """First-access contention on the shared reservation channel.
+
+    Parameters only: :meth:`SatelliteRttModel.sample_handshake_rtt_bulk`
+    draws the contention delay per flow.
+    """
 
     slot_s: float = ALOHA_SLOT_S
     reservation_rtt_s: float = _RESERVATION_RTT_S
     max_backoff_slots: int = 64
-
-    def success_probability(self, offered_load: float) -> float:
-        """Per-attempt success probability at offered load ``G``."""
-        if offered_load < 0:
-            raise ValueError("offered_load must be non-negative")
-        return float(np.exp(-2.0 * offered_load))
-
-    def sample_access_delay_s(
-        self, offered_load: float, rng: np.random.Generator, n: int = 1
-    ) -> np.ndarray:
-        """Delay to win a reservation slot, for ``n`` independent CPEs.
-
-        A successful first attempt costs only the slot alignment; each
-        retry costs a full reservation RTT plus backoff.
-        """
-        p = max(1e-3, self.success_probability(offered_load))
-        attempts = rng.geometric(p, size=n)
-        retries = attempts - 1
-        backoff_slots = rng.integers(1, self.max_backoff_slots + 1, size=n)
-        alignment = rng.uniform(0.0, self.slot_s, size=n)
-        return alignment + retries * (self.reservation_rtt_s + backoff_slots * self.slot_s)
 
 
 @dataclass

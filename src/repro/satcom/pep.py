@@ -94,9 +94,3 @@ class PepCapacityModel:
         if median <= 0:
             return np.zeros(n)
         return median * rng.lognormal(0.0, self.setup_sigma, size=n)
-
-    def sample_forward_delay_s(
-        self, load: float, rng: np.random.Generator, n: int = 1
-    ) -> np.ndarray:
-        """Extra forwarding delay for ``n`` bursts of established flows."""
-        return rng.exponential(self.forward_scale_s * self._ratio(load), size=n)

@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.internet.geo import COUNTRIES, Location, lon_hour_shift
+from repro.internet.geo import COUNTRIES, Location
 from repro.traffic.services import SERVICES, ServiceCategory
 
 # --------------------------------------------------------------------------
@@ -208,14 +208,6 @@ class CountryProfile:
     def continent(self) -> str:
         return self.location.continent
 
-    def utc_hour_weights(self) -> np.ndarray:
-        """Hourly activity re-indexed to UTC (Figure 4's x-axis)."""
-        shift = int(round(lon_hour_shift(self.location)))
-        weights = np.empty(24)
-        for hour_utc in range(24):
-            weights[hour_utc] = self.hourly_weights_local[(hour_utc + shift) % 24]
-        return weights / weights.sum()
-
 
 def _adoption_for(country: str, continent: str) -> Dict[str, float]:
     adoption: Dict[str, float] = {}
@@ -254,8 +246,3 @@ def country_profile(name: str) -> CountryProfile:
             _CATEGORY_INTENSITY.get(name, _INTENSITY_DEFAULT[continent])
         ),
     )
-
-
-def all_profiles() -> Dict[str, CountryProfile]:
-    """Profiles for every subscriber country."""
-    return {name: country_profile(name) for name in COUNTRIES}

@@ -67,12 +67,6 @@ class FlowSizeModel:
         """Upload-to-download ratio distribution."""
         return LogNormal(self.up_ratio_median, self.up_ratio_sigma)
 
-    def sample_down(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.down.sample(rng, n)
-
-    def sample_up(self, down: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return down * self.up_ratio.sample(rng, len(down))
-
 
 @dataclass(frozen=True)
 class Service:
@@ -126,11 +120,6 @@ class Service:
         """Unit-median flow-count noise: multiplying by its samples is
         bitwise-equal to the legacy bare ``rng.lognormal(0, sigma)``."""
         return LogNormal(1.0, self.flows_sigma)
-
-    def sample_flow_count(self, rng: np.random.Generator, intensity: float = 1.0) -> int:
-        """Flows generated by one customer-day of this service."""
-        noise = float(self.flows_noise.sample(rng, 1)[0])
-        return max(1, int(round(self.flows_median * intensity * noise)))
 
 
 #: Re-exported for convenience; defined next to :class:`L7Protocol`.
@@ -354,8 +343,3 @@ SERVICES: Dict[str, Service] = {
 def service(name: str) -> Service:
     """Catalog lookup (raises KeyError)."""
     return SERVICES[name]
-
-
-def services_in_category(category: ServiceCategory) -> Dict[str, Service]:
-    """All services of one category."""
-    return {name: svc for name, svc in SERVICES.items() if svc.category == category}

@@ -92,9 +92,9 @@ def test_youtube_beats_google_for_youtube_domains(clf):
 
 
 def test_category_of(clf):
-    assert clf.category_of("mmg.whatsapp.net") == ServiceCategory.CHAT
-    assert clf.category_of("unknown.example") is None
-    assert clf.category_of(None) is None
+    assert clf.classify("mmg.whatsapp.net").category == ServiceCategory.CHAT
+    assert clf.classify("unknown.example") is None
+    assert clf.classify(None) is None
 
 
 def test_case_insensitive(clf):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.domains import is_subdomain_of, second_level_domain
+from repro.analysis.classify import ServiceClassifier
+from repro.analysis.domains import second_level_domain
 from repro.analysis.reports import appendix_ground_rtt
 
 
@@ -36,10 +37,13 @@ def test_second_level_domain_case_insensitive():
 
 
 def test_is_subdomain_of():
-    assert is_subdomain_of("a.b.example.com", "example.com")
-    assert is_subdomain_of("example.com", "example.com")
-    assert not is_subdomain_of("notexample.com", "example.com")
-    assert not is_subdomain_of("example.com.evil.org", "example.com")
+    """Table 3's leading-dot rules (``.yahoo.com``) match the domain
+    itself and its subdomains, nothing that merely shares the suffix."""
+    clf = ServiceClassifier()
+    assert clf.service_of("a.b.yahoo.com") == "Yahoo"
+    assert clf.service_of("yahoo.com") == "Yahoo"
+    assert clf.service_of("notyahoo.com") != "Yahoo"
+    assert clf.service_of("yahoo.com.evil.org") != "Yahoo"
 
 
 @pytest.fixture(scope="module")

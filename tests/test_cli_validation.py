@@ -90,6 +90,27 @@ def test_cli_scorecard(capture_path, capsys):
     assert "Calibration scorecard" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command", [["scorecard"], ["report", "--which", "table1,fig8"]], ids=lambda c: c[0]
+)
+def test_cli_workload_flags_match_set_overrides(command, tmp_path, monkeypatch, capsys):
+    """``--customers/--days/--seed`` name the same capture as the
+    ``--set`` spelling: same stdout bytes, same exit code."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    by_flags = main(command + ["--customers", "120", "--days", "3", "--seed", "11"])
+    flags_out = capsys.readouterr().out
+    by_set = main(
+        command
+        + [
+            "--set", "population.n_customers=120",
+            "--set", "workload.days=3",
+            "--set", "workload.seed=11",
+        ]
+    )
+    assert (by_flags, flags_out) == (by_set, capsys.readouterr().out)
+    assert flags_out
+
+
 def test_cli_errant(capture_path, capsys):
     code = main(["errant", "--dataset", str(capture_path), "--country", "Spain", "--netem"])
     assert code == 0

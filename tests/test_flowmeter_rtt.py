@@ -62,7 +62,7 @@ def test_directions_tracked_independently():
     est.on_ack(C2S, ack=11, now=0.300)  # acks S2C data
     assert est.samples[C2S] == [pytest.approx(0.012)]
     assert est.samples[S2C] == [pytest.approx(0.300)]
-    assert len(est.all_samples()) == 2
+    assert len(est.samples[C2S] + est.samples[S2C]) == 2
 
 
 def test_zero_length_data_ignored():

@@ -7,11 +7,12 @@ from repro.internet.geo import (
     COUNTRIES,
     GROUND_STATION,
     SERVER_SITES,
-    african_countries,
-    european_countries,
     geodesic_km,
 )
 from repro.internet.latency import LatencyModel
+from repro.internet.topology import InternetModel
+from repro.satcom.network import SatComPacketNetwork
+from repro.simnet.engine import Simulator
 
 
 def test_geodesic_known_distances():
@@ -26,10 +27,10 @@ def test_geodesic_symmetric():
 
 
 def test_continent_partitions():
-    europe = european_countries()
-    africa = african_countries()
+    europe = {name for name, loc in COUNTRIES.items() if loc.continent == "Europe"}
+    africa = {name for name, loc in COUNTRIES.items() if loc.continent == "Africa"}
     assert "Spain" in europe and "Congo" in africa
-    assert not set(europe) & set(africa)
+    assert not europe & africa
     assert len(europe) + len(africa) == len(COUNTRIES)
 
 
@@ -65,9 +66,14 @@ def test_latency_sampling_jitter(rng):
 
 
 def test_one_way_is_half_rtt():
+    """The packet simulator's server links carry half the base RTT."""
+    network = SatComPacketNetwork(
+        Simulator(), InternetModel(), rng=np.random.default_rng(0), hour_utc=12.0
+    )
+    server = network.add_server("h.example", "Frankfurt", app_factory=lambda ep: None)
     model = LatencyModel()
     site = SERVER_SITES["Frankfurt"]
-    assert model.one_way_ms(GROUND_STATION, site) == pytest.approx(
+    assert server.link_to_gs.prop_delay_s * 1000.0 == pytest.approx(
         model.base_rtt_ms(GROUND_STATION, site) / 2
     )
 

@@ -115,7 +115,6 @@ def test_forced_catalog():
     for country in ("Congo", "UK", "Kenya"):
         mix = catalog.mix_for(country, COUNTRIES[country].continent)
         assert mix == {"Operator-EU": 100.0}
-    assert catalog.mix_override() == "Operator-EU"
     with pytest.raises(KeyError):
         ResolverCatalog.forced("NoSuchResolver")
 

@@ -61,7 +61,7 @@ def test_unknown_service_raises(model, rng):
 
 def test_ground_rtt_sampling(model, rng):
     site = SERVER_SITES["US-East"]
-    samples = model.sample_ground_rtt_ms(site, rng, 2000)
+    samples = model.latency.sample_rtt_ms(model.ground_station, site, rng, 2000)
     assert np.median(samples) == pytest.approx(model.base_ground_rtt_ms(site), rel=0.05)
 
 

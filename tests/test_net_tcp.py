@@ -49,8 +49,8 @@ def test_three_way_handshake():
     pair.b.listen()
     pair.a.connect()
     pair.sim.run()
-    assert pair.a.is_established
-    assert pair.b.is_established
+    assert pair.a.state == TcpState.ESTABLISHED
+    assert pair.b.state == TcpState.ESTABLISHED
 
 
 def test_data_transfer_client_to_server():
@@ -99,7 +99,7 @@ def test_orderly_close_both_sides():
     pair.b.close()
     pair.sim.run()
     assert pair.closed["a"] and pair.closed["b"]
-    assert pair.a.is_closed and pair.b.is_closed
+    assert pair.a.state == pair.b.state == TcpState.CLOSED
 
 
 def test_close_flushes_pending_data_before_fin():
@@ -117,8 +117,8 @@ def test_abort_resets_peer():
     pair.connect()
     pair.a.abort()
     pair.sim.run()
-    assert pair.a.is_closed
-    assert pair.b.is_closed
+    assert pair.a.state == TcpState.CLOSED
+    assert pair.b.state == TcpState.CLOSED
 
 
 def test_send_after_close_rejected():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.net.tcp import TcpEndpoint
+from repro.net.tcp import TcpEndpoint, TcpState
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Link
 
@@ -56,13 +56,13 @@ def test_transfer_survives_loss(loss, seed):
     pair.b.listen()
     pair.a.connect()
     pair.sim.run(until=30.0)
-    assert pair.a.is_established
+    assert pair.a.state == TcpState.ESTABLISHED
     # (b may still sit in SYN_RCVD if the final handshake ACK was lost —
     # the first data segment completes it, as in real TCP.)
     payload = bytes(range(256)) * 80  # 20 480 bytes
     pair.a.send(payload)
     pair.sim.run(until=120.0)
-    assert pair.b.is_established
+    assert pair.b.state == TcpState.ESTABLISHED
     assert bytes(pair.received) == payload
     if loss >= 0.15:
         assert pair.a.retransmissions > 0
@@ -96,7 +96,7 @@ def test_handshake_survives_syn_loss():
     b.listen()
     a.connect()
     sim.run(until=5.0)
-    assert a.is_established
+    assert a.state == TcpState.ESTABLISHED
     assert a.retransmissions >= 1
 
 
@@ -111,7 +111,7 @@ def test_close_completes_despite_fin_loss():
     pair.b.close()
     pair.sim.run(until=120.0)
     assert bytes(pair.received) == b"goodbye"
-    assert pair.a.is_closed
+    assert pair.a.state == TcpState.CLOSED
 
 
 def test_no_rto_means_no_retransmissions():

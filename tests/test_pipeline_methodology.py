@@ -5,11 +5,8 @@ satellite-segment RTT (TLS-handshake method), the ground RTT (data↔ACK)
 and DNS response times — we check it against simulation ground truth.
 """
 
-import numpy as np
 import pytest
 
-from repro.analysis.dataset import FlowFrame
-from repro.flowmeter.records import L7Protocol
 from repro.internet.geo import COUNTRIES, GROUND_STATION
 from repro.internet.latency import LatencyModel
 from repro.internet.resolvers import RESOLVERS
@@ -81,13 +78,6 @@ def test_anonymization_active(packet_sim_result):
         by_prefix.setdefault(record.client_ip >> 16, 0)
         by_prefix[record.client_ip >> 16] += 1
     assert len(by_prefix) == len({ip >> 16 for ip in real})
-
-
-def test_from_records_roundtrip(packet_sim_result):
-    frame = FlowFrame.from_records(packet_sim_result.records)
-    assert len(frame) == len(packet_sim_result.records)
-    https = frame.l7_mask(L7Protocol.HTTPS)
-    assert np.isfinite(frame.sat_rtt_ms[https]).all()
 
 
 def test_congestion_visible_in_congo_flows(packet_sim_result):

@@ -5,7 +5,9 @@ import pytest
 
 from repro.analysis.plotting import ascii_cdf, sparkline
 from repro.errant.profiles import BUILTIN_PROFILES
-from repro.satcom.leo import LeoShell, geo_vs_leo_floor_ratio
+from repro.internet.geo import COUNTRIES
+from repro.satcom.geometry import SatelliteGeometry
+from repro.satcom.leo import LeoShell
 
 
 # --- sparkline -----------------------------------------------------------
@@ -96,7 +98,7 @@ def test_leo_samples_match_starlink_profile(rng):
 def test_geo_vs_leo_ratio():
     """The paper's 550 ms story is a GEO artifact: the propagation floor
     sits ~50–80× above a 550 km shell."""
-    ratio = geo_vs_leo_floor_ratio()
+    ratio = SatelliteGeometry().propagation_rtt_s(COUNTRIES["Spain"]) / LeoShell().min_rtt_s()
     assert 40.0 < ratio < 100.0
 
 

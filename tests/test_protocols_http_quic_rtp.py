@@ -20,8 +20,8 @@ def test_http_request_round_trip():
 
 
 def test_http_extract_host():
-    assert http.extract_host(http.encode_request("h.example")) == "h.example"
-    assert http.extract_host(b"garbage bytes") is None
+    assert http.parse_request(http.encode_request("h.example")).host == "h.example"
+    assert http.parse_request(b"garbage bytes") is None
 
 
 def test_http_response_length():

@@ -124,6 +124,13 @@ def test_fig11_counts_exact_medians_binned(sources):
             assert by_rollup.median_mbps(country) == pytest.approx(
                 by_frame.median_mbps(country), rel=0.15
             )
+    # the night/peak claim reads both result types alike
+    (congo_gap,) = [c for c in claims.CLAIMS if c.name == "Fig11 Congo night - peak median"]
+    for result in (by_frame, by_rollup):
+        assert np.isfinite(congo_gap.query(result))
+    assert congo_gap.query(by_frame) == (
+        by_frame.night_boxes["Congo"].median - by_frame.peak_boxes["Congo"].median
+    )
 
 
 def _quantile_span(hist, row: int, q: float = 0.5) -> float:

@@ -54,13 +54,21 @@ def protocol_volume_share(frame, mask: Optional[np.ndarray] = None) -> Dict[str,
     }
 
 
+def _country_masks(frame):
+    """(country, boolean mask) for every country with flows."""
+    for idx, name in enumerate(frame.countries):
+        mask = frame.country_idx == idx
+        if mask.any():
+            yield name, mask
+
+
 def country_breakdown(frame) -> List[Tuple[str, float, float]]:
     """(country, volume %, customer %) sorted by decreasing volume."""
     volume = frame.bytes_total()
     total_volume = volume.sum()
     total_customers = len(np.unique(frame.customer_id))
     rows = []
-    for country, mask in frame.groupby_country().items():
+    for country, mask in _country_masks(frame):
         vol_pct = float(volume[mask].sum() / total_volume * 100.0)
         cust_pct = float(len(np.unique(frame.customer_id[mask])) / total_customers * 100.0)
         rows.append((country, vol_pct, cust_pct))
@@ -78,7 +86,7 @@ def fig2_oracle(frame):
         country: float(
             frame.bytes_down[mask].sum() / len(np.unique(frame.customer_id[mask])) / days / 1e6
         )
-        for country, mask in frame.groupby_country().items()
+        for country, mask in _country_masks(frame)
     }
     return fig2_country.Fig2Result(rows=country_breakdown(frame), daily_download_mb=daily)
 

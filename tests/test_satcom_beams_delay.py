@@ -1,11 +1,15 @@
-"""Tests for the beam map and the analytic satellite-RTT model."""
+"""Tests for the beam map and the analytic satellite-RTT model.
+
+The Figure 8 shape tests draw through ``sample_handshake_rtt_bulk``,
+the sampler every capture runs (``DelaySource`` forwards to it).
+"""
 
 import numpy as np
 import pytest
 
-from repro.internet.geo import COUNTRIES
-from repro.satcom.beams import Beam, BeamMap, build_default_beam_map
-from repro.satcom.delay_model import SatelliteRttModel, local_hour
+from repro.internet.geo import COUNTRIES, local_hour
+from repro.satcom.beams import Beam, build_default_beam_map
+from repro.satcom.delay_model import SatelliteRttModel
 from repro.traffic.profiles import TOP_COUNTRIES
 
 
@@ -17,6 +21,18 @@ def beam_map():
 @pytest.fixture(scope="module")
 def model():
     return SatelliteRttModel()
+
+
+def _loads(model, country, hour_utc, n, beam=None):
+    """Per-flow ``(utilization, pep_utilization)`` for ``n`` flows on one
+    beam (the country's first by default) at one UTC hour."""
+    if beam is None:
+        beam = model.beam_map.beams_for(country)[0]
+    hour_loc = local_hour(COUNTRIES[country], hour_utc)
+    return (
+        np.full(n, model.beam_map.utilization(beam, hour_loc)),
+        np.full(n, model.beam_map.pep_utilization(beam, hour_loc)),
+    )
 
 
 def test_every_country_covered(beam_map):
@@ -78,14 +94,14 @@ def test_floor_above_propagation(model):
 def test_sampled_rtt_above_550ms_floor(model, rng):
     """Headline number: the total RTT is 'higher than 550 ms'."""
     for country in TOP_COUNTRIES:
-        samples = model.sample_handshake_rtt_s(country, 20.0, rng, 2000)
+        samples = model.sample_handshake_rtt_bulk(country, *_loads(model, country, 20.0, 2000), rng)
         assert samples.min() > 0.52
         assert np.median(samples) > 0.55
 
 
 def test_spain_night_mostly_under_1s(model, rng):
     hour_utc = (3.0 - COUNTRIES["Spain"].lon_deg / 15.0) % 24
-    samples = model.sample_handshake_rtt_s("Spain", hour_utc, rng, 6000)
+    samples = model.sample_handshake_rtt_bulk("Spain", *_loads(model, "Spain", hour_utc, 6000), rng)
     fraction = (samples < 1.0).mean()
     assert 0.70 <= fraction <= 0.92  # paper: 82 %
 
@@ -94,7 +110,12 @@ def test_congo_heavy_tail_even_at_night(model, rng):
     hour_utc = (3.0 - COUNTRIES["Congo"].lon_deg / 15.0) % 24
     beams = model.beam_map.beams_for("Congo")
     samples = np.concatenate(
-        [model.sample_handshake_rtt_s("Congo", hour_utc, rng, 3000, beam=b) for b in beams]
+        [
+            model.sample_handshake_rtt_bulk(
+                "Congo", *_loads(model, "Congo", hour_utc, 3000, beam=b), rng
+            )
+            for b in beams
+        ]
     )
     assert (samples > 2.0).mean() > 0.08  # paper: ~20 %
 
@@ -102,8 +123,12 @@ def test_congo_heavy_tail_even_at_night(model, rng):
 def test_congo_worse_at_peak(model, rng):
     night_utc = (3.0 - COUNTRIES["Congo"].lon_deg / 15.0) % 24
     peak_utc = (19.0 - COUNTRIES["Congo"].lon_deg / 15.0) % 24
-    night = np.median(model.sample_handshake_rtt_s("Congo", night_utc, rng, 4000))
-    peak = np.median(model.sample_handshake_rtt_s("Congo", peak_utc, rng, 4000))
+    night = np.median(
+        model.sample_handshake_rtt_bulk("Congo", *_loads(model, "Congo", night_utc, 4000), rng)
+    )
+    peak = np.median(
+        model.sample_handshake_rtt_bulk("Congo", *_loads(model, "Congo", peak_utc, 4000), rng)
+    )
     assert peak > night
 
 
@@ -111,8 +136,12 @@ def test_ireland_tail_load_independent(model, rng):
     """Ireland's impairments are channel-driven: night ≈ peak."""
     night_utc = (3.0 - COUNTRIES["Ireland"].lon_deg / 15.0) % 24
     peak_utc = (19.0 - COUNTRIES["Ireland"].lon_deg / 15.0) % 24
-    night = model.sample_handshake_rtt_s("Ireland", night_utc, rng, 6000)
-    peak = model.sample_handshake_rtt_s("Ireland", peak_utc, rng, 6000)
+    night = model.sample_handshake_rtt_bulk(
+        "Ireland", *_loads(model, "Ireland", night_utc, 6000), rng
+    )
+    peak = model.sample_handshake_rtt_bulk(
+        "Ireland", *_loads(model, "Ireland", peak_utc, 6000), rng
+    )
     tail_night = (night > 1.3).mean()
     tail_peak = (peak > 1.3).mean()
     assert tail_night > 0.05
@@ -121,38 +150,21 @@ def test_ireland_tail_load_independent(model, rng):
 
 def test_ireland_worse_than_uk(model, rng):
     samples = {
-        c: model.sample_handshake_rtt_s(
-            c, (21.0 - COUNTRIES[c].lon_deg / 15.0) % 24, rng, 6000
+        c: model.sample_handshake_rtt_bulk(
+            c, *_loads(model, c, (21.0 - COUNTRIES[c].lon_deg / 15.0) % 24, 6000), rng
         )
         for c in ("Ireland", "UK")
     }
     assert (samples["Ireland"] > 1.3).mean() > (samples["UK"] > 1.3).mean()
 
 
-def test_data_rtt_cheaper_than_handshake(model, rng):
-    hs = model.sample_handshake_rtt_s("Congo", 19.0, rng, 4000).mean()
-    data = model.sample_data_rtt_s("Congo", 19.0, rng, 4000).mean()
-    assert data < hs
-
-
-def test_bulk_sampler_consistent_with_scalar(model, rng):
-    """The vectorized path must reproduce the scalar path's distribution."""
-    country = "Nigeria"
-    beam = model.beam_map.beams_for(country)[0]
-    hour_utc = 20.0
-    hour_loc = local_hour(COUNTRIES[country], hour_utc)
-    n = 8000
-    scalar = model.sample_handshake_rtt_s(country, hour_utc, rng, n, beam=beam)
-    util = np.full(n, model.beam_map.utilization(beam, hour_loc))
-    pep = np.full(n, model.beam_map.pep_utilization(beam, hour_loc))
-    bulk = model.sample_handshake_rtt_bulk(country, util, pep, rng)
-    assert np.median(bulk) == pytest.approx(np.median(scalar), rel=0.1)
-    assert (bulk > 2.0).mean() == pytest.approx((scalar > 2.0).mean(), abs=0.05)
-
-
 def test_median_beam_rtt_reports_congestion(model, rng):
+    """Figure 8b's y-axis: the median handshake RTT of one beam."""
+
+    def median_beam_rtt_s(beam, hour_utc, samples=400):
+        loads = _loads(model, beam.country, hour_utc, samples, beam=beam)
+        return float(np.median(model.sample_handshake_rtt_bulk(beam.country, *loads, rng)))
+
     congested = model.beam_map.beams_for("Congo")[0]
     light = model.beam_map.beams_for("Spain")[0]
-    assert model.median_beam_rtt_s(congested, 18.0, rng) > model.median_beam_rtt_s(
-        light, 18.0, rng
-    )
+    assert median_beam_rtt_s(congested, 18.0) > median_beam_rtt_s(light, 18.0)

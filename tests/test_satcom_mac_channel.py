@@ -4,27 +4,35 @@ import numpy as np
 import pytest
 
 from repro.satcom.channel import ChannelModel
+from repro.satcom.delay_model import SatelliteRttModel
 from repro.satcom.mac import SlottedAlohaModel, TdmaModel
 
 
-def test_aloha_success_probability():
-    aloha = SlottedAlohaModel()
-    assert aloha.success_probability(0.0) == 1.0
-    assert aloha.success_probability(0.5) == pytest.approx(np.exp(-1.0))
-    with pytest.raises(ValueError):
-        aloha.success_probability(-0.1)
+def _aloha_delay_s(utilization, n):
+    """The slotted-Aloha access delay as ``sample_handshake_rtt_bulk``
+    draws it, at offered load ``0.35 · utilization``: two models that
+    differ only in ``contention_fraction`` make the same draws, so their
+    difference is the contention term alone."""
+    loads = (np.full(n, utilization), np.zeros(n))
+    always, never = (
+        SatelliteRttModel(contention_fraction=fraction).sample_handshake_rtt_bulk(
+            "Spain", *loads, np.random.default_rng(1234)
+        )
+        for fraction in (1.0, 0.0)
+    )
+    return always - never
 
 
-def test_aloha_zero_load_is_fast(rng):
+def test_aloha_zero_load_is_fast():
     aloha = SlottedAlohaModel()
-    delays = aloha.sample_access_delay_s(0.0, rng, 1000)
+    delays = _aloha_delay_s(0.0, 1000)
     assert delays.max() <= aloha.slot_s  # no retries, only alignment
 
 
-def test_aloha_delay_grows_with_load(rng):
+def test_aloha_delay_grows_with_load():
     aloha = SlottedAlohaModel()
-    light = aloha.sample_access_delay_s(0.05, rng, 4000).mean()
-    heavy = aloha.sample_access_delay_s(0.6, rng, 4000).mean()
+    light = _aloha_delay_s(0.05 / 0.35, 4000).mean()
+    heavy = _aloha_delay_s(0.95, 4000).mean()
     assert heavy > light
     # each retry costs at least a reservation round trip
     assert heavy > aloha.reservation_rtt_s * 0.5

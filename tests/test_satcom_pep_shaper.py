@@ -41,13 +41,6 @@ def test_setup_samples_zero_at_zero_load(rng):
     assert np.all(pep.sample_setup_delay_s(0.0, rng, 100) == 0.0)
 
 
-def test_forward_delay_smaller_than_setup(rng):
-    pep = PepCapacityModel()
-    setup = pep.sample_setup_delay_s(0.8, rng, 5000).mean()
-    forward = pep.sample_forward_delay_s(0.8, rng, 5000).mean()
-    assert forward < setup
-
-
 def test_tunnel_message_wire_size():
     message = TunnelMessage(flow_id=1, msg_type=TunnelMessageType.DATA, payload=b"x" * 100)
     assert message.wire_size == 124

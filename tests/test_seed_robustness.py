@@ -1,7 +1,6 @@
 """Seed robustness: the reproduction's headline shapes must not depend
 on one lucky RNG draw."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.reports import fig8_satellite_rtt, table1_protocols
@@ -26,11 +25,3 @@ def test_headline_shapes_across_seeds(seed):
     assert fig8.fraction_over("Congo", "peak", 2000.0) > fig8.fraction_over(
         "Spain", "peak", 2000.0
     )
-
-
-def test_split_by_day(small_frame):
-    parts = small_frame.split_by_day()
-    assert set(parts) == set(np.unique(small_frame.day))
-    assert sum(len(p) for p in parts.values()) == len(small_frame)
-    for day, part in parts.items():
-        assert np.all(part.day == day)

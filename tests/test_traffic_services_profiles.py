@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from repro.analysis.classify import ServiceClassifier
-from repro.internet.geo import COUNTRIES
+from repro.internet.geo import COUNTRIES, utc_hour
 from repro.traffic.profiles import (
     CUSTOMER_SHARE_PCT,
     FIG6_ADOPTION_PCT,
     TOP_COUNTRIES,
-    all_profiles,
     country_profile,
 )
-from repro.traffic.services import SERVICES, ServiceCategory, services_in_category
+from repro.traffic.services import SERVICES, ServiceCategory
+from repro.traffic.workload import WorkloadConfig, WorkloadGenerator
 
 
 def test_customer_shares_sum_to_100():
@@ -64,18 +64,30 @@ def test_intentional_services_classifiable(rng):
 
 def test_size_models_positive(rng):
     for svc in SERVICES.values():
-        down = svc.size.sample_down(rng, 100)
-        up = svc.size.sample_up(down, rng)
+        down = svc.size.down.sample(rng, 100)
+        up = down * svc.size.up_ratio.sample(rng, 100)
         assert np.all(down > 0)
         assert np.all(up >= 0)
 
 
-def test_flow_count_scaling(rng):
-    svc = SERVICES["Whatsapp"]
-    small = np.mean([svc.sample_flow_count(rng, 0.5) for _ in range(300)])
-    large = np.mean([svc.sample_flow_count(rng, 5.0) for _ in range(300)])
+def _whatsapp_flows_per_customer_day(flow_scale):
+    """Mean Whatsapp flows per (customer, day) that has any, and the
+    number of such customer-days, in a small generated capture."""
+    frame = WorkloadGenerator(
+        WorkloadConfig(n_customers=60, days=1, seed=3, flow_scale=flow_scale)
+    ).generate()
+    mask = frame.service_true_idx == frame.services.index("Whatsapp")
+    customer_days = np.unique(frame.customer_id[mask].astype(np.int64) * 100 + frame.day[mask])
+    return mask.sum() / max(len(customer_days), 1), len(customer_days)
+
+
+def test_flow_count_scaling():
+    small, _ = _whatsapp_flows_per_customer_day(0.5)
+    large, _ = _whatsapp_flows_per_customer_day(5.0)
     assert large > 4 * small
-    assert svc.sample_flow_count(rng, 0.0001) >= 1
+    # the generator rounds each customer-day's count up to one flow
+    _, customer_days = _whatsapp_flows_per_customer_day(0.0001)
+    assert customer_days >= 1
 
 
 def test_categories_cover_fig7():
@@ -83,11 +95,11 @@ def test_categories_cover_fig7():
         ServiceCategory.AUDIO, ServiceCategory.CHAT, ServiceCategory.SEARCH,
         ServiceCategory.SOCIAL, ServiceCategory.VIDEO, ServiceCategory.WORK,
     ):
-        assert services_in_category(category), category
+        assert any(svc.category == category for svc in SERVICES.values()), category
 
 
 def test_diurnal_weights_are_distributions():
-    for profile in all_profiles().values():
+    for profile in map(country_profile, COUNTRIES):
         weights = profile.hourly_weights_local
         assert len(weights) == 24
         assert weights.sum() == pytest.approx(1.0)
@@ -105,10 +117,11 @@ def test_europe_evening_peak_africa_morning_activity():
 
 def test_utc_shift():
     kenya = country_profile("Kenya")
-    utc = kenya.utc_hour_weights()
     local = kenya.hourly_weights_local
-    # Kenya is ~UTC+2.5 by longitude: peak appears ~2h earlier in UTC
-    assert int(np.argmax(utc)) == (int(np.argmax(local)) - 2) % 24
+    # Kenya is ~UTC+2.5 by longitude: the generator's conversion puts
+    # the middle of the local peak hour ~2h earlier in UTC
+    peak_utc = utc_hour(kenya.location, int(np.argmax(local)) + 0.5)
+    assert int(peak_utc) == (int(np.argmax(local)) - 2) % 24
 
 
 def test_profiles_cached():
